@@ -203,6 +203,70 @@ class Arena:
         v.right = v
         c.link_writes += 2
 
+    # find_min's joins and links, each fused into one call: unlink loser, a
+    # member of owner's list but not its only one, and make it the rightmost
+    # (join_back) or leftmost (join_front) child of winner. Each counts the
+    # link writes of detach(loser, owner) and then push_back / push_front,
+    # so step counts equal the two-call form. That includes detach's two
+    # singleton-reset writes, which the push overwrites and so are skipped.
+
+    def join_back(self, owner, winner, loser):
+        """detach(loser, owner) + push_back(winner, loser) in one call."""
+        if loser.right.left is not loser:  # rightmost
+            new_last = loser.left
+            new_last.right = owner
+            owner.child.left = new_last
+        elif loser.left.right is not loser:  # leftmost
+            nxt = loser.right
+            nxt.left = loser.left
+            owner.child = nxt
+        else:
+            prev = loser.left
+            nxt = loser.right
+            prev.right = nxt
+            nxt.left = prev
+        first = winner.child
+        if first is None:
+            loser.left = loser
+            loser.right = winner
+            winner.child = loser
+            self.counters.link_writes += 6
+        else:
+            last = first.left
+            last.right = loser
+            loser.left = last
+            loser.right = winner
+            first.left = loser
+            self.counters.link_writes += 8
+
+    def join_front(self, owner, winner, loser):
+        """detach(loser, owner) + push_front(winner, loser) in one call."""
+        if loser.right.left is not loser:  # rightmost
+            new_last = loser.left
+            new_last.right = owner
+            owner.child.left = new_last
+        elif loser.left.right is not loser:  # leftmost
+            nxt = loser.right
+            nxt.left = loser.left
+            owner.child = nxt
+        else:
+            prev = loser.left
+            nxt = loser.right
+            prev.right = nxt
+            nxt.left = prev
+        first = winner.child
+        if first is None:
+            loser.left = loser
+            loser.right = winner
+            winner.child = loser
+            self.counters.link_writes += 6
+        else:
+            loser.left = first.left
+            loser.right = first
+            first.left = loser
+            winner.child = loser
+            self.counters.link_writes += 8
+
     def concat(self, target, donor):
         """Append donor's members (in order) at the right end of target's list.
 

@@ -17,14 +17,19 @@ A vertex is dangerous when rank > 0 and the rightmost child is inner with
 rank <= rho(w0); the test is O(1). Roots are made safe lazily: find_min
 sweeps the root list and repairs dangerous roots before joining.
 
-find_min runs in two phases. Phase 1 walks the root list left to right,
-makes each root safe, and bucket-inserts it by rank, joining equal-rank
-pairs (loser becomes the winner's rightmost noncritical inner child, winner
-rank +1) until the bucket is free; surviving roots have pairwise distinct
-ranks, and exactly their buckets are cleared afterwards. Phase 2 repeatedly
-links the last root with the second last (loser pushed to the front of the
-winner's children as an outer placed child, ranks unchanged), continuing
-leftward cyclically until one root remains.
+find_min returns a lone safe root at once: both phases would spend no step
+on it. Otherwise it runs in two phases. Phase 1 walks the root list left to
+right, makes each root safe, and bucket-inserts it by rank, joining
+equal-rank pairs (loser becomes the winner's rightmost noncritical inner
+child, winner rank +1) until the bucket is free; surviving roots have
+pairwise distinct ranks, and exactly their buckets are cleared afterwards.
+Phase 2 repeatedly links the last root with the second last (loser pushed
+to the front of the winner's children as an outer placed child, ranks
+unchanged), continuing leftward cyclically until one root remains. So no
+dangerous root survives find_min. Neither joins nor links change the
+dangerous-vertex count: a join gives a safe winner a noncritical rightmost
+child of rank r and the rank r + 1, and a link keeps the winner's rank and
+rightmost child, or gives a childless winner a placed one.
 
 decrease_key cuts the vertex and runs a cascading rank recomputation up the
 parent chain, stopping at the dummy head, at an unchanged rank, or at a
@@ -61,23 +66,6 @@ def plastic_cap(n):
     """1 + floor(log base-plastic of n): the tree-count cap used by phi2."""
     assert n >= 1
     return 1 + int(math.log(n) / _LOG_PLASTIC)
-
-
-class RankOutcome:
-    """Result of one rank recomputation."""
-
-    __slots__ = ("new_rank", "dangerous", "demotions", "placings")
-
-    def __init__(self, new_rank, dangerous, demotions, placings):
-        self.new_rank = new_rank
-        self.dangerous = dangerous
-        self.demotions = demotions
-        self.placings = placings
-
-    def __repr__(self):
-        return ("RankOutcome(new_rank=%d, dangerous=%r, demotions=%d, "
-                "placings=%d)" % (self.new_rank, self.dangerous,
-                                  self.demotions, self.placings))
 
 
 class PadovanHeap:
@@ -128,12 +116,6 @@ class PadovanHeap:
         if v is self._dummy or not self.arena.is_live(v):
             raise StaleHandleError("dead or foreign handle: %r" % (v,))
 
-    def _less_eq(self, u, w):
-        self.arena.counters.comparisons += 1
-        if self._cmp_hook is not None:
-            self._cmp_hook(u, w)
-        return u.key <= w.key
-
     def _set_status(self, v, st):
         t = self._stat_tally
         t[v.status] -= 1
@@ -176,9 +158,8 @@ class PadovanHeap:
     # -- rank machinery ------------------------------------------------
 
     def _recompute_rank(self, p):
+        """Apply the rank rules to p, with rule 2 demotions; return its rank."""
         counters = self.arena.counters
-        placings0 = counters.placings
-        demotions = 0
         while True:
             # seek: sweep misplaced outer children off the right end
             while True:
@@ -192,7 +173,6 @@ class PadovanHeap:
                 # no inner children: rho(w0) = rho(w1) = -1, rule 3
                 counters.rank_steps += 1
                 new_rank = 0
-                dangerous = False
                 break
             st0 = w0.status
             rho0 = w0.rank + 1 if st0 == CRITICAL_INNER else w0.rank
@@ -210,24 +190,17 @@ class PadovanHeap:
                     gap = rho0 > rho1 + 1
             if gap and st0 == CRITICAL_INNER:
                 counters.rank_steps += 1  # rule 2
-                demotions += 1
                 self._demote_rightmost(p)
                 continue
             counters.rank_steps += 1
-            if gap:
-                new_rank = rho0  # rule 1
-                dangerous = True
-            else:
-                new_rank = rho0 + 1  # rule 3
-                dangerous = False
+            new_rank = rho0 if gap else rho0 + 1  # rule 1 : rule 3
             break
         pre = self._is_dangerous(p)
         self._set_rank(p, new_rank)
         post = self._is_dangerous(p)
         if post != pre:
             self._dangerous += 1 if post else -1
-        return RankOutcome(new_rank, dangerous, demotions,
-                           counters.placings - placings0)
+        return new_rank
 
     def _make_safe(self, v):
         # only called on roots
@@ -272,8 +245,7 @@ class PadovanHeap:
             # tally delta is settled after this iteration's mutations.
             watch = code == LAST and g.right is not g
             g_pre = dang(g) if watch else False
-            out = self._recompute_rank(p)
-            delta = old - out.new_rank
+            delta = old - self._recompute_rank(p)
             assert delta >= 0, "rank increased during cascade"
             stop = True
             if delta == 0:
@@ -352,66 +324,93 @@ class PadovanHeap:
         self._require_alive()
         if self._size == 0:
             raise EmptyHeapError("find_min on empty heap")
-        a = self.arena
         d = self._dummy
+        x = d.child
+        if x.left is x and not self._is_dangerous(x):
+            return x  # a lone safe root: both phases would spend no step
+        join_back = self.arena.join_back
+        join_front = self.arena.join_front
         buckets = self._buckets
         dang = self._is_dangerous
+        hook = self._cmp_hook
+        t = self._stat_tally
+        top = self.max_rank_seen
+        joins = links = 0  # completed ones; the tallies take them at exit
+        try:
+            # phase 1: make roots safe, join equal ranks until ranks are
+            # distinct. Joins leave _dangerous alone: both roots are safe (v
+            # passed _make_safe, and a winner is safe as shown next), and the
+            # winner gains a noncritical inner rightmost child with rho = r
+            # and rank r + 1 > r.
+            v = x
+            while v is not d:
+                nxt = v.right  # saved before any surgery on v
+                if dang(v):
+                    self._make_safe(v)
+                w = v
+                r = w.rank
+                while True:
+                    if r >= len(buckets):
+                        buckets.extend([None] * len(buckets))
+                    occ = buckets[r]
+                    if occ is None:
+                        buckets[r] = w
+                        break
+                    buckets[r] = None
+                    if hook is not None:
+                        hook(occ, w)
+                    if occ.key <= w.key:
+                        w, loser = occ, w
+                    else:
+                        loser = occ
+                    join_back(d, w, loser)
+                    t[loser.status] -= 1
+                    loser.status = NONCRITICAL_INNER
+                    joins += 1
+                    r += 1
+                    w.rank = r
+                    if r > top:
+                        top = r
+                v = nxt
+            # cleanup: survivors occupy exactly their own buckets
+            v = d.child
+            while v is not d:
+                buckets[v.rank] = None
+                v = v.right
 
-        # phase 1: make roots safe, join equal ranks until ranks are distinct
-        v = d.child
-        while v is not d:
-            nxt = v.right  # saved before any surgery on v
-            if dang(v):
-                self._make_safe(v)
-            w = v
-            r = w.rank
+            # phase 2: link last with second last, moving leftward
+            # cyclically. Links leave _dangerous alone: pushing to the front
+            # keeps the winner's rank and rightmost child, and a winner
+            # without children gets a placed child, which cannot make it
+            # dangerous.
+            x = d.child.left
             while True:
-                if r >= len(buckets):
-                    buckets.extend([None] * len(buckets))
-                occ = buckets[r]
-                if occ is None:
-                    buckets[r] = w
+                y = x.left
+                if y is x:
                     break
-                buckets[r] = None
-                if self._less_eq(occ, w):
-                    winner, loser = occ, w
+                if hook is not None:
+                    hook(y, x)
+                if y.key <= x.key:
+                    winner, loser = y, x
                 else:
-                    winner, loser = w, occ
-                pre = dang(winner)
-                a.detach(loser, d)
-                self._set_status(loser, NONCRITICAL_INNER)
-                a.push_back(winner, loser)
-                self._set_rank(winner, winner.rank + 1)
-                post = dang(winner)
-                if post != pre:
-                    self._dangerous += 1 if post else -1
-                w = winner
-                r = winner.rank
-            v = nxt
-        # cleanup: survivors occupy exactly their own buckets
-        v = d.child
-        while v is not d:
-            buckets[v.rank] = None
-            v = v.right
-
-        # phase 2: link last with second last, moving leftward cyclically
-        x = d.child.left
-        while True:
-            y = x.left
-            if y is x:
-                break
-            if self._less_eq(y, x):
-                winner, loser = y, x
-            else:
-                winner, loser = x, y
-            pre = dang(winner)
-            a.detach(loser, d)
-            self._set_status(loser, OUTER_PLACED)
-            a.push_front(winner, loser)
-            post = dang(winner)
-            if post != pre:
-                self._dangerous += 1 if post else -1
-            x = winner.left
+                    winner, loser = x, y
+                join_front(d, winner, loser)
+                t[loser.status] -= 1
+                loser.status = OUTER_PLACED
+                links += 1
+                x = winner.left
+        except BaseException:
+            # a key comparison or the hook raised: drop the bucket entries,
+            # which the next find_min would otherwise join against
+            buckets[:] = [None] * len(buckets)
+            raise
+        finally:
+            self.arena.counters.comparisons += joins + links
+            t[NONCRITICAL_INNER] += joins
+            t[OUTER_PLACED] += links
+            self._rank_sum += joins
+            if top > self.max_rank_seen:  # _make_safe may have raised it
+                self.max_rank_seen = top
         return x
 
     def delete_min(self):

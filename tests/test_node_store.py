@@ -212,3 +212,41 @@ def test_surgery_mirrors_a_plain_list(ops):
                 assert x.right is y and y.left is x
         else:
             assert p.child is None
+
+
+def _links(nodes):
+    key = lambda w: None if w is None else w.key
+    return [(key(v.left), key(v.right), key(v.child)) for v in nodes]
+
+
+@pytest.mark.parametrize("fused, push", [("join_back", "push_back"),
+                                         ("join_front", "push_front")])
+def test_join_equals_detach_then_push(fused, push):
+    """Every loser position, every winner and winner list length: the fused
+    join leaves the same links and counts the same writes as the two calls."""
+    for n_roots in range(2, 6):
+        for i in range(n_roots):
+            for j in range(n_roots):
+                if i == j:
+                    continue
+                for n_kids in range(3):
+                    results = []
+                    for form in ("fused", "two calls"):
+                        a = Arena()
+                        d = a.alloc("d")
+                        roots = [a.alloc(k) for k in range(n_roots)]
+                        for v in roots:
+                            a.push_back(d, v)
+                        kids = [a.alloc("k%d" % k) for k in range(n_kids)]
+                        for v in kids:
+                            a.push_back(roots[j], v)
+                        loser, winner = roots[i], roots[j]
+                        base = a.counters.link_writes
+                        if form == "fused":
+                            getattr(a, fused)(d, winner, loser)
+                        else:
+                            a.detach(loser, d)
+                            getattr(a, push)(winner, loser)
+                        results.append((a.counters.link_writes - base,
+                                        _links([d] + roots + kids)))
+                    assert results[0] == results[1], (n_roots, i, j, n_kids)

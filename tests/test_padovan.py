@@ -10,6 +10,7 @@ from padovanheap.node_store import (
     NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from padovanheap.auditor import audit_state, check_root_safety
+from padovanheap.trace import iter_workload, replay
 
 
 def shape(h):
@@ -220,6 +221,41 @@ def test_dangerous_root_rests_until_find_min():
     assert h.potentials()[6] == 0
 
 
+def test_find_min_repairs_a_lone_dangerous_root():
+    # deleting the rank-0 child of a rank-2 root leaves rule 1 at the root:
+    # rank 1 = rho of its only child, so the lone root is dangerous
+    h = PadovanHeap()
+    hs = {k: h.insert(k) for k in (1, 2, 3, 4)}
+    h.find_min()
+    h.delete(hs[2])
+    (r,) = list(h.roots())
+    assert r.rank == 1 and len(check_root_safety(h)) == 1
+    c = h.arena.counters
+    steps = c.rank_steps
+    assert h.find_min() is r
+    assert c.rank_steps > steps
+    assert check_root_safety(h) == []
+    assert h.potentials()[6] == 0
+    audit_clean(h)
+
+
+def test_find_min_recovers_from_a_raising_comparison():
+    # 1 and 2 join into a rank-1 tree that waits in its bucket while 3 meets
+    # "x"; that comparison raises, and no bucket entry may outlive it
+    h = PadovanHeap()
+    for k in (1, 2, 3):
+        h.insert(k)
+    x = h.insert("x")
+    with pytest.raises(TypeError):
+        h.find_min()
+    assert h.arena.counters.comparisons == 1  # the completed join
+    audit_clean(h)
+    h.delete(x)
+    assert h.find_min().key == 1
+    audit_clean(h)
+    assert [h.delete_min() for _ in range(3)] == [1, 2, 3]
+
+
 # --------------------------------------------------------- delete, meld
 
 def test_delete_root_leaf():
@@ -383,3 +419,25 @@ def test_rank_stays_logarithmic():
         live = max((r.rank for r in h.roots()), default=0)
         assert live <= plastic_cap(h.size) + 3
     assert h.max_rank_seen <= plastic_cap(4000) + 3
+
+
+# ---------------------------------------------------- frozen step counts
+
+@pytest.mark.parametrize("mode, n, seed, steps, max_rank, phi", [
+    ("random", 20000, 1, (435204, 38971, 8060, 1867), 10,
+     (3, 714, 3, 236, 94, 1, 88)),
+    ("random", 20000, 2, (441548, 39605, 8262, 1944), 10,
+     (18, 689, 18, 231, 73, 4, 64)),
+    ("competition", 5000, 0, (204952, 16244, 0, 0), 3,
+     (1, 624, 1, 0, 0, 0, 0)),
+    ("ascending", 5000, 0, (64992, 4999, 0, 0), 12,
+     (1, 4, 1, 0, 0, 0, 0)),
+])
+def test_step_counts_are_frozen(mode, n, seed, steps, max_rank, phi):
+    """The paper's cost measure, pinned: (link writes, comparisons, rank
+    steps, placings), the peak rank and the potentials after whole traces."""
+    h = PadovanHeap()
+    replay(iter_workload(mode, n, seed), h, collect_output=False)
+    assert h.arena.counters.snapshot() == steps
+    assert h.max_rank_seen == max_rank
+    assert h.potentials() == phi
