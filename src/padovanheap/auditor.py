@@ -32,7 +32,6 @@ from .node_store import (
     CRITICAL_INNER,
     OUTER_PLACED,
     OUTER_MISPLACED,
-    STATUS_NAMES,
 )
 from .padovan import PLASTIC, plastic_cap
 
@@ -207,47 +206,69 @@ def iter_vertices(heap):
             stack.extend(reversed(kids))
 
 
-def compute_potentials(heap):
-    """Recompute phi0..phi6 from scratch by walking the forest."""
+def _recount(heap):
+    """Walk the forest once: (phi0..phi6, raw status tally, rank sum).
+
+    The raw tally counts the status field of every live vertex, roots
+    included, as the heap's own tally does; an unknown status counts as
+    noncritical inner.
+    """
     n = heap.size
-    tau = 0
-    placed = critical = misplaced = inner = 0
+    root_ids = {id(r) for r in heap.roots()}
+    tau = len(root_ids)
+    nonroot = [0, 0, 0, 0]  # by status
+    root = [0, 0, 0, 0]
     rank_sum = 0
     dangerous = 0
-    root_ids = set()
-    for r in heap.roots():
-        tau += 1
-        root_ids.add(id(r))
     for v in iter_vertices(heap):
         rank_sum += v.rank
         if _is_dangerous(v):
             dangerous += 1
-        if id(v) in root_ids:
-            continue
         st = v.status
-        if st == OUTER_PLACED:
-            placed += 1
-        elif st == OUTER_MISPLACED:
-            misplaced += 1
-        elif st == CRITICAL_INNER:
-            critical += 1
-            inner += 1
+        if not CRITICAL_INNER <= st <= OUTER_MISPLACED:
+            st = NONCRITICAL_INNER
+        if id(v) in root_ids:
+            root[st] += 1
         else:
-            inner += 1
+            nonroot[st] += 1
+    critical = nonroot[CRITICAL_INNER]
+    inner = nonroot[NONCRITICAL_INNER] + critical
     phi2 = 0 if n == 0 else min(tau, plastic_cap(n))
-    return PotentialVector(
-        (tau, placed, phi2, critical, rank_sum - inner, misplaced, dangerous))
+    phis = (tau, nonroot[OUTER_PLACED], phi2, critical, rank_sum - inner,
+            nonroot[OUTER_MISPLACED], dangerous)
+    return phis, [a + b for a, b in zip(nonroot, root)], rank_sum
+
+
+def compute_potentials(heap):
+    """Recompute phi0..phi6 from scratch by walking the forest."""
+    return PotentialVector(_recount(heap)[0])
 
 
 def verify_tallies(heap):
-    """Compare the heap's incremental potentials() against a fresh walk."""
-    walked = compute_potentials(heap).as_tuple()
+    """Compare the heap's incremental tallies against a fresh walk.
+
+    potentials() comes first. Only when all seven agree are the raw
+    ingredients compared too, since phi4 reads the rank sum and the
+    noncritical tally only through their difference. (phi6 is the
+    dangerous-vertex count itself.)
+    """
+    walked, tally, rank_sum = _recount(heap)
     cached = tuple(heap.potentials())
     out = []
     for i in range(7):
         if walked[i] != cached[i]:
             out.append(Violation("tally_mismatch", phi=i,
                                  walked=walked[i], cached=cached[i]))
+    if out:
+        return out
+    fields = [("_rank_sum", rank_sum, heap._rank_sum)]
+    for i in range(4):
+        fields.append(("_stat_tally[%d]" % i, tally[i],
+                       heap._stat_tally[i]))
+    for field, w, c in fields:
+        if w != c:
+            out.append(Violation("tally_mismatch", field=field,
+                                 walked=w, cached=c))
     return out
 
 

@@ -203,44 +203,76 @@ class Arena:
         v.right = v
         c.link_writes += 2
 
-    # find_min's joins and links, each fused into one call: unlink loser, a
-    # member of owner's list but not its only one, and make it the rightmost
-    # (join_back) or leftmost (join_front) child of winner. Each counts the
-    # link writes of detach(loser, owner) and then push_back / push_front,
-    # so step counts equal the two-call form. That includes detach's two
-    # singleton-reset writes, which the push overwrites and so are skipped.
+    # The heap's list moves, each fused into one call that counts exactly the
+    # link writes of the two-call form it replaces: detach's two
+    # singleton-reset writes are counted even where the second half
+    # overwrites them and so they are skipped.
+
+    def alloc_back(self, owner, key):
+        """alloc(key) + push_back(owner, v) in one call; returns v."""
+        v = Node(key)
+        self._live.add(id(v))
+        first = owner.child
+        if first is None:
+            v.right = owner
+            owner.child = v
+            self.counters.link_writes += 4
+        else:
+            last = first.left
+            last.right = v
+            v.left = last
+            v.right = owner
+            first.left = v
+            self.counters.link_writes += 6
+        return v
 
     def join_back(self, owner, winner, loser):
-        """detach(loser, owner) + push_back(winner, loser) in one call."""
+        """detach(loser, owner) + push_back(winner, loser) in one call.
+
+        As with detach, owner may be None unless loser is rightmost.
+        winner's children form a list other than loser's.
+        """
         if loser.right.left is not loser:  # rightmost
             new_last = loser.left
-            new_last.right = owner
-            owner.child.left = new_last
+            if new_last is loser:  # sole member
+                owner.child = None
+                w = 3
+            else:
+                new_last.right = owner
+                owner.child.left = new_last
+                w = 4
         elif loser.left.right is not loser:  # leftmost
+            last = loser.left
             nxt = loser.right
-            nxt.left = loser.left
-            owner.child = nxt
+            nxt.left = last
+            last.right.child = nxt
+            w = 4
         else:
             prev = loser.left
             nxt = loser.right
             prev.right = nxt
             nxt.left = prev
+            w = 4
         first = winner.child
         if first is None:
             loser.left = loser
             loser.right = winner
             winner.child = loser
-            self.counters.link_writes += 6
+            self.counters.link_writes += w + 2
         else:
             last = first.left
             last.right = loser
             loser.left = last
             loser.right = winner
             first.left = loser
-            self.counters.link_writes += 8
+            self.counters.link_writes += w + 4
 
     def join_front(self, owner, winner, loser):
-        """detach(loser, owner) + push_front(winner, loser) in one call."""
+        """detach(loser, owner) + push_front(winner, loser) in one call.
+
+        loser is a member of owner's list but not its only one, and winner's
+        children form another list.
+        """
         if loser.right.left is not loser:  # rightmost
             new_last = loser.left
             new_last.right = owner
@@ -266,6 +298,47 @@ class Arena:
             first.left = loser
             winner.child = loser
             self.counters.link_writes += 8
+
+    def detach_promote(self, owner, v):
+        """detach(v, owner) + concat(owner, v) in one call.
+
+        v leaves owner's list and its children follow at the right end of
+        that list. v's own links are left as they were: free it next.
+        """
+        kid = v.child
+        if v.right.left is not v:  # rightmost
+            new_last = v.left
+            if new_last is v:  # sole member: the children replace it
+                if kid is None:
+                    owner.child = None
+                    self.counters.link_writes += 3
+                else:
+                    owner.child = kid
+                    kid.left.right = owner
+                    self.counters.link_writes += 6
+                return
+            new_last.right = owner
+            owner.child.left = new_last
+        elif v.left.right is not v:  # leftmost
+            last = v.left
+            nxt = v.right
+            nxt.left = last
+            owner.child = nxt
+        else:
+            prev = v.left
+            nxt = v.right
+            prev.right = nxt
+            nxt.left = prev
+        if kid is None:
+            self.counters.link_writes += 4
+            return
+        first = owner.child
+        k_last = kid.left
+        first.left.right = kid
+        kid.left = first.left
+        k_last.right = owner
+        first.left = k_last
+        self.counters.link_writes += 9
 
     def concat(self, target, donor):
         """Append donor's members (in order) at the right end of target's list.

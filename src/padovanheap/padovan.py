@@ -43,6 +43,17 @@ count) so potentials() costs one root-list scan. Root statuses carry no
 meaning and may legitimately hold stale or scribbled values; the tallies
 stay exact because they count raw field values and subtract per-status root
 contributions at read time.
+
+The dangerous-vertex count takes one probe of a vertex before and one after
+each compound change to it: a cut with the cascade step that follows, or
+make_safe's demote-and-recompute loop. The danger test reads only the
+vertex's rank, its rightmost child and that child's rho, so the deltas of
+probes in between would telescope, and they are not made. A rank change
+also moves the parent's test when the vertex is the rightmost child: the
+cascade probes that parent first and carries the probe up as the parent's
+own before-probe, and where the cascade stops, the parent's test is
+unchanged. find_min returns a safe root, so delete_min removes it without a
+probe.
 """
 
 import math
@@ -122,12 +133,6 @@ class PadovanHeap:
         t[st] += 1
         v.status = st
 
-    def _set_rank(self, v, r):
-        self._rank_sum += r - v.rank
-        v.rank = r
-        if r > self.max_rank_seen:
-            self.max_rank_seen = r
-
     def _is_dangerous(self, v):
         r = v.rank
         if r == 0:
@@ -143,22 +148,25 @@ class PadovanHeap:
         return r <= rho
 
     def _demote_rightmost(self, p):
-        """Move p's rightmost child to the front as an outer placed child."""
-        pre = self._is_dangerous(p)
+        """Move p's rightmost child to the front as an outer placed child.
+
+        Only p's danger test reads the moved child; the caller settles it.
+        """
         w0 = p.child.left
         a = self.arena
         a.detach(w0, p)
         self._set_status(w0, OUTER_PLACED)
         a.push_front(p, w0)
         a.counters.placings += 1
-        post = self._is_dangerous(p)
-        if post != pre:
-            self._dangerous += 1 if post else -1
 
     # -- rank machinery ------------------------------------------------
 
     def _recompute_rank(self, p):
-        """Apply the rank rules to p, with rule 2 demotions; return its rank."""
+        """Apply the rank rules to p, with rule 2 demotions; return its rank.
+
+        The caller settles the danger tally of p, and of p's parent when p is
+        its rightmost child.
+        """
         counters = self.arena.counters
         while True:
             # seek: sweep misplaced outer children off the right end
@@ -195,58 +203,63 @@ class PadovanHeap:
             counters.rank_steps += 1
             new_rank = rho0 if gap else rho0 + 1  # rule 1 : rule 3
             break
-        pre = self._is_dangerous(p)
-        self._set_rank(p, new_rank)
-        post = self._is_dangerous(p)
-        if post != pre:
-            self._dangerous += 1 if post else -1
+        self._rank_sum += new_rank - p.rank
+        p.rank = new_rank
+        if new_rank > self.max_rank_seen:
+            self.max_rank_seen = new_rank
         return new_rank
 
     def _make_safe(self, v):
-        # only called on roots
-        while self._is_dangerous(v):
+        # v is a dangerous root. Demotions and rank updates move only v's own
+        # danger test (a root has no parent to read its rank), so the tally
+        # takes one decrement, when the loop leaves v safe.
+        while True:
             self._demote_rightmost(v)
             self._recompute_rank(v)
+            if not self._is_dangerous(v):
+                break
+        self._dangerous -= 1
 
     def _cut(self, v):
-        """Detach v into the root list. Returns the former parent when known."""
+        """Move v to the right end of the root list, then cascade rank
+        updates up from its former parent when that parent is known.
+
+        A vertex's danger test reads only its rank, its rightmost child and
+        that child's rho, so the tally of each vertex the cascade changes is
+        settled by one probe before its first change and one after its last;
+        the deltas of any probes in between would telescope.
+        """
         a = self.arena
         d = self._dummy
-        code, owner = a.position_probe(v)
+        dang = self._is_dangerous
+        code, p = a.position_probe(v)
         if code == NOT_LAST_TWO:
             # both neighbors are list members; the owner stays unknown and
             # its rank update is deferred (covered by the rank-surplus
             # potential). v cannot be a rightmost child here, so no parent's
             # danger status changes either.
-            a.detach(v)
-            a.push_back(d, v)
-            return None
-        if owner.right is owner:
-            return None  # v is a root already
-        pre = self._is_dangerous(owner)
-        a.detach(v, owner)
-        post = self._is_dangerous(owner)
-        if post != pre:
-            self._dangerous += 1 if post else -1
-        a.push_back(d, v)
-        return owner
-
-    def _cascade(self, p):
-        a = self.arena
-        d = self._dummy
-        dang = self._is_dangerous
+            a.join_back(None, d, v)
+            return
+        if p.right is p:
+            return  # v is a root already
+        p_pre = dang(p)  # before the move: p loses a child
+        a.join_back(p, d, v)
         while True:
-            if p is d:
-                return
             old = p.rank
             code, g = a.position_probe(p)
             # p's rank is about to change; when p is the rightmost child of
             # a real parent, that parent's danger test reads rho(p), so its
-            # tally delta is settled after this iteration's mutations.
+            # state before this iteration is probed now, for the next one.
             watch = code == LAST and g.right is not g
-            g_pre = dang(g) if watch else False
+            if watch:
+                g_pre = dang(g)
             delta = old - self._recompute_rank(p)
             assert delta >= 0, "rank increased during cascade"
+            # p's own test is settled: what follows moves p or changes its
+            # status, which only its parent's test reads
+            p_post = dang(p)
+            if p_post != p_pre:
+                self._dangerous += 1 if p_post else -1
             stop = True
             if delta == 0:
                 pass
@@ -278,22 +291,21 @@ class PadovanHeap:
                     stop = False
                 else:
                     pass  # outer child: rank updated, cascade stops here
-            if watch:
-                g_post = dang(g)
-                if g_post != g_pre:
-                    self._dangerous += 1 if g_post else -1
             if stop:
+                # g's test is as it was: either p's rank did not change, or
+                # p is an outer child, which the test reads as safe
                 return
+            # climb: g's state before this iteration is its pre-probe; a
+            # second-last p cannot have moved g's test, so probe it now
+            p_pre = g_pre if watch else dang(g)
             p = g
 
     # -- public operations ----------------------------------------------
 
     def insert(self, key):
         self._require_alive()
-        a = self.arena
-        v = a.alloc(key)
+        v = self.arena.alloc_back(self._dummy, key)
         self._stat_tally[NONCRITICAL_INNER] += 1
-        a.push_back(self._dummy, v)
         self._size += 1
         return v
 
@@ -331,7 +343,6 @@ class PadovanHeap:
         join_back = self.arena.join_back
         join_front = self.arena.join_front
         buckets = self._buckets
-        dang = self._is_dangerous
         hook = self._cmp_hook
         t = self._stat_tally
         top = self.max_rank_seen
@@ -345,14 +356,22 @@ class PadovanHeap:
             v = x
             while v is not d:
                 nxt = v.right  # saved before any surgery on v
-                if dang(v):
-                    self._make_safe(v)
+                r = v.rank
+                c = v.child
+                if r and c is not None:  # the danger test, inlined
+                    w0 = c.left
+                    st = w0.status
+                    if (st == NONCRITICAL_INNER and r <= w0.rank
+                            or st == CRITICAL_INNER and r <= w0.rank + 1):
+                        self._make_safe(v)
+                        r = v.rank
                 w = v
-                r = w.rank
                 while True:
-                    if r >= len(buckets):
+                    try:
+                        occ = buckets[r]
+                    except IndexError:
                         buckets.extend([None] * len(buckets))
-                    occ = buckets[r]
+                        continue
                     if occ is None:
                         buckets[r] = w
                         break
@@ -419,7 +438,7 @@ class PadovanHeap:
             raise EmptyHeapError("delete_min on empty heap")
         m = self.find_min()
         key = m.key
-        self._remove_root(m)
+        self._remove_root(m)  # find_min returns a safe root: no tally moves
         return key
 
     def decrease_key(self, v, new_key):
@@ -428,26 +447,24 @@ class PadovanHeap:
         if new_key > v.key:
             raise KeyIncreaseError(
                 "decrease_key %r -> %r is an increase" % (v.key, new_key))
-        p = self._cut(v)
-        if p is not None:
-            self._cascade(p)
+        self._cut(v)
         v.key = new_key
 
     def delete(self, v):
         self._require_alive()
         self._check_handle(v)
-        p = self._cut(v)
-        if p is not None:
-            self._cascade(p)
+        self._cut(v)
+        # the cut moved neither v's rank nor its children, so v's danger
+        # state is still counted and leaves with it
+        if self._is_dangerous(v):
+            self._dangerous -= 1
         self._remove_root(v)
 
     def _remove_root(self, m):
+        """Free root m; the caller has taken m off the danger tally."""
         a = self.arena
-        d = self._dummy
-        if self._is_dangerous(m):
-            self._dangerous -= 1
-        a.detach(m, d)
-        a.concat(d, m)  # children become roots at the right end, O(1)
+        # children become roots at the right end, O(1)
+        a.detach_promote(self._dummy, m)
         self._stat_tally[m.status] -= 1
         self._rank_sum -= m.rank
         self._size -= 1

@@ -8,11 +8,13 @@ Grammar, one event per line; `#` starts a comment, blank lines are skipped:
     k <id> <int>   decrease_key of the id-th inserted element
     x <id>         delete the id-th inserted element
 
-Ids are 1-based insert ordinals. parse_trace validates id liveness and the
-no-increase rule against a canonical simulation (delete_min removes the
-lowest-id holder of the minimal key — all generators keep live keys distinct,
-so replayed implementations cannot diverge on ties). An f/d on an empty heap
-is NOT a parse error; it surfaces as a runtime failure during replay.
+Ids are 1-based insert ordinals. parse_trace validates id liveness, the
+no-increase rule and distinct live keys against a canonical simulation. An
+`i` of a key that a live id holds, or a `k` onto a key that another live id
+holds, is a duplicate_key error; a key is free again once its holder is
+deleted or decreased away. With no ties among live keys, the replayed
+implementations cannot diverge. An f/d on an empty heap is NOT a parse
+error; it surfaces as a runtime failure during replay.
 """
 
 import heapq
@@ -22,7 +24,10 @@ from .errors import EmptyHeapError
 
 
 class TraceError(Exception):
-    """Trace rejected at parse time. kind: syntax | dead_id | key_increase."""
+    """Trace rejected at parse time.
+
+    kind: syntax | dead_id | key_increase | duplicate_key.
+    """
 
     def __init__(self, kind, line, message):
         super().__init__("%s at line %d: %s" % (kind, line, message))
@@ -34,6 +39,7 @@ def parse_trace(text):
     """Parse trace text into a list of event tuples, validating ids/keys."""
     events = []
     live = {}  # id -> key, canonical simulation
+    held = set()  # the keys of live ids, pairwise distinct
     by_key = []  # lazy (key, id) heap mirroring live
     next_id = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -47,6 +53,10 @@ def parse_trace(text):
                 if len(parts) != 2:
                     raise ValueError("expected: i <int>")
                 key = int(parts[1])
+                if key in held:
+                    raise TraceError("duplicate_key", lineno,
+                                     "key %d is live" % key)
+                held.add(key)
                 next_id += 1
                 live[next_id] = key
                 heapq.heappush(by_key, (key, next_id))
@@ -61,7 +71,9 @@ def parse_trace(text):
                 while by_key and live.get(by_key[0][1]) != by_key[0][0]:
                     heapq.heappop(by_key)  # stale: deleted or decreased
                 if by_key:
-                    del live[heapq.heappop(by_key)[1]]
+                    key, vid = heapq.heappop(by_key)
+                    del live[vid]
+                    held.remove(key)
                 events.append(("d",))
             elif op == "k":
                 if len(parts) != 3:
@@ -76,6 +88,12 @@ def parse_trace(text):
                         "key_increase", lineno,
                         "key %d > current %d for id %d"
                         % (key, live[vid], vid))
+                if key != live[vid]:
+                    if key in held:
+                        raise TraceError("duplicate_key", lineno,
+                                         "key %d is live" % key)
+                    held.remove(live[vid])
+                    held.add(key)
                 live[vid] = key
                 heapq.heappush(by_key, (key, vid))
                 events.append(("k", vid, key))
@@ -86,7 +104,7 @@ def parse_trace(text):
                 if vid not in live:
                     raise TraceError("dead_id", lineno,
                                      "id %d is not live" % vid)
-                del live[vid]
+                held.remove(live.pop(vid))
                 events.append(("x", vid))
             else:
                 raise ValueError("unknown op %r" % op)

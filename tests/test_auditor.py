@@ -90,6 +90,27 @@ def test_verify_tallies_clean_then_corrupted():
     assert audit_state(h) == []
 
 
+def test_verify_tallies_sees_a_shift_that_phi4_hides():
+    # phi4 reads the rank sum and the noncritical tally only through their
+    # difference, so equal shifts of both leave every potential unchanged
+    h = PadovanHeap()
+    for k in range(1, 9):
+        h.insert(k)
+    h.find_min()
+    assert verify_tallies(h) == []
+    h._rank_sum += 1
+    h._stat_tally[NONCRITICAL_INNER] += 1
+    assert tuple(compute_potentials(h)) == h.potentials()
+    vs = audit_state(h)
+    assert [(v.kind, v.info["field"]) for v in vs] == [
+        ("tally_mismatch", "_rank_sum"), ("tally_mismatch", "_stat_tally[0]")]
+    assert (vs[0].info["walked"], vs[0].info["cached"]) == (h._rank_sum - 1,
+                                                            h._rank_sum)
+    h._rank_sum -= 1
+    h._stat_tally[NONCRITICAL_INNER] -= 1
+    assert audit_state(h) == []
+
+
 # -------------------------------------------------------- fault injection
 
 def build8():

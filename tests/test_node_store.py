@@ -223,30 +223,96 @@ def _links(nodes):
                                          ("join_front", "push_front")])
 def test_join_equals_detach_then_push(fused, push):
     """Every loser position, every winner and winner list length: the fused
-    join leaves the same links and counts the same writes as the two calls."""
-    for n_roots in range(2, 6):
+    join leaves the same links and counts the same writes as the two calls.
+    The winner is another member, as in find_min, or a vertex outside the
+    list, as when a cut moves a child to the root list. join_back also takes
+    a sole member and, where detach does, owner=None."""
+    back = fused == "join_back"
+    for n_roots in range(1 if back else 2, 6):
         for i in range(n_roots):
-            for j in range(n_roots):
-                if i == j:
-                    continue
+            owners = ("d", None) if back and i < n_roots - 1 else ("d",)
+            for j in [k for k in range(n_roots) if k != i] + ["outside"]:
                 for n_kids in range(3):
-                    results = []
-                    for form in ("fused", "two calls"):
-                        a = Arena()
-                        d = a.alloc("d")
-                        roots = [a.alloc(k) for k in range(n_roots)]
-                        for v in roots:
-                            a.push_back(d, v)
-                        kids = [a.alloc("k%d" % k) for k in range(n_kids)]
-                        for v in kids:
-                            a.push_back(roots[j], v)
-                        loser, winner = roots[i], roots[j]
-                        base = a.counters.link_writes
-                        if form == "fused":
-                            getattr(a, fused)(d, winner, loser)
-                        else:
-                            a.detach(loser, d)
-                            getattr(a, push)(winner, loser)
-                        results.append((a.counters.link_writes - base,
-                                        _links([d] + roots + kids)))
-                    assert results[0] == results[1], (n_roots, i, j, n_kids)
+                    for owner_arg in owners:
+                        results = []
+                        for form in ("fused", "two calls"):
+                            a = Arena()
+                            d = a.alloc("d")
+                            out = a.alloc("o")
+                            roots = [a.alloc(k) for k in range(n_roots)]
+                            for v in roots:
+                                a.push_back(d, v)
+                            loser = roots[i]
+                            winner = out if j == "outside" else roots[j]
+                            kids = [a.alloc("k%d" % k) for k in range(n_kids)]
+                            for v in kids:
+                                a.push_back(winner, v)
+                            owner = d if owner_arg == "d" else None
+                            base = a.counters.link_writes
+                            if form == "fused":
+                                getattr(a, fused)(owner, winner, loser)
+                            else:
+                                a.detach(loser, owner)
+                                getattr(a, push)(winner, loser)
+                            results.append((a.counters.link_writes - base,
+                                            _links([d, out] + roots + kids)))
+                        assert results[0] == results[1], (
+                            n_roots, i, j, n_kids, owner_arg)
+                        if n_roots == 1:  # a sole member: 3 + 2 or 3 + 4
+                            assert results[0][0] == (7 if n_kids else 5)
+
+
+def test_alloc_back_equals_alloc_then_push_back():
+    for n in range(4):
+        results = []
+        for form in ("fused", "two calls"):
+            a = Arena()
+            p = a.alloc("p")
+            members = [a.alloc(k) for k in range(n)]
+            for v in members:
+                a.push_back(p, v)
+            base = a.counters.link_writes
+            if form == "fused":
+                v = a.alloc_back(p, "v")
+            else:
+                v = a.alloc("v")
+                a.push_back(p, v)
+            assert a.is_live(v) and v.key == "v" and v.rank == 0
+            assert v.status == NONCRITICAL_INNER and v.child is None
+            results.append((a.counters.link_writes - base,
+                            _links([p] + members + [v]), a.live_count))
+        assert results[0] == results[1], n
+        assert results[0][0] == (4 if n == 0 else 6)  # 2 + 2 or 2 + 4
+
+
+def test_detach_promote_equals_detach_then_concat():
+    """Every position, list length and child count: the fused root removal
+    leaves the same lists and counts the same writes as detach + concat.
+    The removed vertex's own links are not compared: it is freed next."""
+    for n_roots in range(1, 5):
+        for i in range(n_roots):
+            for n_kids in range(4):
+                results = []
+                for form in ("fused", "two calls"):
+                    a = Arena()
+                    d = a.alloc("d")
+                    roots = [a.alloc(k) for k in range(n_roots)]
+                    for v in roots:
+                        a.push_back(d, v)
+                    v = roots[i]
+                    kids = [a.alloc("k%d" % k) for k in range(n_kids)]
+                    for w in kids:
+                        a.push_back(v, w)
+                    base = a.counters.link_writes
+                    if form == "fused":
+                        a.detach_promote(d, v)
+                    else:
+                        a.detach(v, d)
+                        a.concat(d, v)
+                    rest = roots[:i] + roots[i + 1:]
+                    assert a.list_members(d) == rest + kids
+                    results.append((a.counters.link_writes - base,
+                                    _links([d] + rest + kids)))
+                assert results[0] == results[1], (n_roots, i, n_kids)
+                if n_roots == 1:  # a lone root: 3 alone, 6 with children
+                    assert results[0][0] == (6 if n_kids else 3)

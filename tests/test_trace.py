@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padovanheap import FibonacciHeap, Oracle, PadovanHeap
 from padovanheap.errors import EmptyHeapError
@@ -42,6 +43,57 @@ def test_parse_key_increase():
         parse_trace("i 5\nk 1 6\n")
     assert ei.value.kind == "key_increase" and ei.value.line == 2
     assert parse_trace("i 5\nk 1 5\n")  # equal is fine
+
+
+def test_parse_duplicate_key():
+    for bad, line in (("i 1\ni 1\n", 2),            # insert of a live key
+                      ("i 1\ni 2\nk 2 1\n", 3),     # decrease onto one
+                      ("i 3\ni 1\nk 1 2\ni 2\n", 4)):
+        with pytest.raises(TraceError) as ei:
+            parse_trace(bad)
+        assert ei.value.kind == "duplicate_key" and ei.value.line == line
+    # a key is free again once its holder is deleted or decreased away
+    for ok in ("i 1\nk 1 1\n", "i 1\nx 1\ni 1\n", "i 1\nd\ni 1\n",
+               "i 2\nk 1 1\ni 2\nk 2 0\n"):
+        parse_trace(ok)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("iiifddkx"), st.integers(0, 9),
+                          st.integers(0, 2) | st.integers(0, 30)),
+                min_size=20, max_size=60))
+def test_repeated_keys_are_rejected_or_replay_alike(ops):
+    """Traces whose keys repeat often: parse_trace either rejects a
+    duplicate live key or all three implementations print the same."""
+    lines = []
+    live = {}  # id -> key, the parser's canonical simulation
+    n = 0
+    for op, a, key in ops:
+        if op == "i":
+            n += 1
+            live[n] = key
+            lines.append("i %d" % key)
+        elif not live:
+            continue
+        elif op in "fd":
+            lines.append(op)
+            if op == "d":
+                del live[min(live, key=lambda i: (live[i], i))]
+        else:
+            vid = sorted(live)[a % len(live)]
+            if op == "k":
+                live[vid] = min(key, live[vid])
+                lines.append("k %d %d" % (vid, live[vid]))
+            else:
+                del live[vid]
+                lines.append("x %d" % vid)
+    try:
+        events = parse_trace("\n".join(lines))
+    except TraceError as e:
+        assert e.kind == "duplicate_key"
+        return
+    outs = [replay(events, heap()) for heap in (PadovanHeap, FibonacciHeap, Oracle)]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_parse_tracks_decreases():
