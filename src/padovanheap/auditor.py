@@ -33,7 +33,8 @@ from .node_store import (
     OUTER_PLACED,
     OUTER_MISPLACED,
 )
-from .padovan import PLASTIC, plastic_cap
+from .padovan import PLASTIC, PadovanHeap, plastic_cap
+from .trace import replay
 
 
 class Violation:
@@ -57,40 +58,6 @@ class Violation:
         return "Violation(%s)" % self.render()
 
 
-class PotentialVector:
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        values = tuple(values)
-        assert len(values) == 7
-        self.values = values
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, PotentialVector):
-            return self.values == other.values
-        return self.values == tuple(other)
-
-    def __hash__(self):
-        return hash(self.values)
-
-    def as_tuple(self):
-        return self.values
-
-    def weighted(self, model):
-        t = model.t
-        return sum(t[i] * self.values[i] for i in range(7))
-
-    def __repr__(self):
-        return "PotentialVector%r" % (self.values,)
-
-
 class CostModel:
     """Weights t0..t6 for the potentials plus the two audit budgets.
 
@@ -102,7 +69,7 @@ class CostModel:
     log charge: 1.9), then doubling and freezing.
     """
 
-    __slots__ = ("t", "budget_const", "budget_log", "beta")
+    __slots__ = ("t", "budget_const", "budget_log")
 
     def __init__(self, t=(1, 1, 2, 6, 6, 2, 3),
                  budget_const=30, budget_log=4):
@@ -110,7 +77,6 @@ class CostModel:
         assert len(self.t) == 7
         self.budget_const = budget_const
         self.budget_log = budget_log
-        self.beta = PLASTIC
         self.check_constraints()
 
     def check_constraints(self):
@@ -124,7 +90,14 @@ class CostModel:
     def log_budget(self, n):
         """Budget for delete_min/delete on a heap of size n (pre-op)."""
         n = max(n, 1)
-        return self.budget_log * (1.0 + math.log(n) / math.log(self.beta))
+        return self.budget_log * (1.0 + math.log(n) / math.log(PLASTIC))
+
+    def weighted(self, phis):
+        """W = sum(t_i * phi_i) over the seven potentials phis."""
+        t = self.t
+        return (t[0] * phis[0] + t[1] * phis[1] + t[2] * phis[2]
+                + t[3] * phis[3] + t[4] * phis[4] + t[5] * phis[5]
+                + t[6] * phis[6])
 
     def __repr__(self):
         return "CostModel(t=%r, budget_const=%r, budget_log=%r)" % (
@@ -187,6 +160,19 @@ def _walk_list(owner, cap):
         return out, violations
 
 
+def children(v):
+    """v's children, leftmost first. Trusts links."""
+    kids = []
+    w = v.child
+    if w is not None:
+        while True:
+            kids.append(w)
+            if w.right.left is not w:
+                break
+            w = w.right
+    return kids
+
+
 def iter_vertices(heap):
     """Yield every live vertex, parents before children. Trusts links."""
     stack = list(heap.roots())
@@ -194,16 +180,8 @@ def iter_vertices(heap):
     while stack:
         v = stack.pop()
         yield v
-        c = v.child
-        if c is not None:
-            kids = []
-            w = c
-            while True:
-                kids.append(w)
-                if w.right.left is not w:
-                    break
-                w = w.right
-            stack.extend(reversed(kids))
+        if v.child is not None:
+            stack.extend(reversed(children(v)))
 
 
 def _recount(heap):
@@ -241,7 +219,7 @@ def _recount(heap):
 
 def compute_potentials(heap):
     """Recompute phi0..phi6 from scratch by walking the forest."""
-    return PotentialVector(_recount(heap)[0])
+    return _recount(heap)[0]
 
 
 def verify_tallies(heap):
@@ -324,11 +302,13 @@ def check_structure(heap):
     if violations:
         return violations
 
-    root_ids = {id(r) for r in heap.roots()}
-
-    # pass 2: content
+    # pass 2: content, read from pass 1's lists without a second walk
+    kids_of = {}
+    root_ids = ()
     for owner, members in lists:
+        kids_of[id(owner)] = members
         if owner is d:
+            root_ids = {id(r) for r in members}
             continue  # root list: statuses and order are meaningless
         seen_nonplaced = False
         inner_idx = 0
@@ -361,21 +341,13 @@ def check_structure(heap):
                 prev_rho = rho
                 inner_idx += 1
 
-    for v in iter_vertices(heap):
+    for v in seen.values():
         if v.rank < 0:
             violations.append(Violation("negative_rank", key=v.key,
                                         rank=v.rank))
             continue
         is_root = id(v) in root_ids
-        c = v.child
-        kids = []
-        if c is not None:
-            w = c
-            while True:
-                kids.append(w)
-                if w.right.left is not w:
-                    break
-                w = w.right
+        kids = kids_of.get(id(v), ())
         inner_count = sum(1 for w in kids if w.status <= CRITICAL_INNER)
         if v.rank < inner_count:
             violations.append(Violation(
@@ -433,58 +405,31 @@ def check_size_bounds(heap, table=None):
     violations = []
     if table is None:
         table = size_bound_table(heap.max_rank_seen + 1)
-
-    def active_children(v):
-        kids = []
-        c = v.child
-        if c is not None:
-            w = c
-            while True:
-                kids.append(w)
-                if w.right.left is not w:
-                    break
-                w = w.right
+    sizes = {}
+    for v in reversed(list(iter_vertices(heap))):  # children first
+        kids = children(v)
+        size = 1
         i = len(kids) - 1
         while i >= 0 and kids[i].status == OUTER_MISPLACED:
             i -= 1
-        if i < 0 or kids[i].status == OUTER_PLACED:
-            return ()
-        w0 = kids[i]
-        rho0 = _rho(w0)
-        if i == 0:
-            return (w0,)
-        u = kids[i - 1]
-        if u.status == OUTER_MISPLACED:
-            return (w0,)  # forced gap
-        if u.status == OUTER_PLACED:
-            return (w0,)  # rho(w1) = -1: gap iff rho0 > 0; either way only w0
-        if rho0 > _rho(u) + 1:
-            return (w0,)  # gap: rule 1/2, only w0 is active
-        return (u, w0)
-
-    sizes = {}
-    for v in iter_vertices(heap):
-        order = []
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            if id(x) in sizes:
-                continue
-            order.append(x)
-            for ch in active_children(x):
-                if id(ch) not in sizes:
-                    stack.append(ch)
-        for x in reversed(order):
-            if id(x) in sizes:
-                continue
-            sizes[id(x)] = 1 + sum(
-                sizes[id(ch)] for ch in active_children(x))
-        got = sizes[id(v)]
+        if i >= 0 and kids[i].status != OUTER_PLACED:
+            w0 = kids[i]
+            size += sizes[id(w0)]
+            if i > 0:
+                # w1 is active too unless a gap (rule 1/2) is forced: a
+                # misplaced w1, a placed w1 (rho = -1), or rho0 > rho(w1) + 1
+                u = kids[i - 1]
+                st = u.status
+                if (st != OUTER_MISPLACED and st != OUTER_PLACED
+                        and _rho(w0) <= _rho(u) + 1):
+                    size += sizes[id(u)]
+        sizes[id(v)] = size
         r = v.rank
         bound = table[r] if r < len(table) else size_bound_table(r)[r]
-        if got < bound:
+        if size < bound:
             violations.append(Violation(
-                "size_bound", key=v.key, rank=r, size=got, bound=bound))
+                "size_bound", key=v.key, rank=r, size=size, bound=bound))
+    violations.reverse()  # report parents before children
     return violations
 
 
@@ -504,85 +449,68 @@ def audit_state(heap):
     return violations
 
 
-def is_ancestor(heap, anc, v, _cap=None):
-    """True if anc is a proper ancestor of v. O(depth * list length)."""
-    d = heap.dummy
-    cap = _cap if _cap is not None else heap.size + 2
-    x = v
-    hops = 0
-    while True:
-        # climb to the owner of x's list
-        while x.right.left is x:
-            x = x.right
-            hops += 1
-            assert hops <= cap * cap, "owner walk did not terminate"
-        x = x.right
-        if x is d:
-            return False
-        if x is anc:
-            return True
-        hops += 1
-        assert hops <= cap * cap, "owner walk did not terminate"
-
-
-_CONST_OPS = ("i", "f", "k", "meld")
 _LOG_OPS = ("d", "x")
 
 
-def audit_amortized(events, model=None, stats_out=None):
-    """Replay a trace, asserting the per-operation amortized budgets.
+class BudgetAudit:
+    """Replay observer that charges each operation against its budget.
 
-    For each event, with s = counted analysis steps (comparisons +
-    rank-rule applications + placings) and dW the change of the weighted
-    potential, requires
+    Pass before and after to trace.replay. For each event, with s = counted
+    analysis steps (comparisons + rank-rule applications + placings) and dW
+    the change of the weighted potential, it requires
 
         s + dW <= budget_const                      for i, f, k (and meld)
         s + dW <= budget_log * (1 + log_beta n)     for d, x   (n pre-op)
 
-    Returns a list of budget Violations (empty when the accounting holds).
-    When stats_out is a list, a (op, s, dW, n_before, charge, bound) row is
-    appended per event — that is the calibration hook.
+    and appends a budget Violation to violations when an event breaks it.
+    When rows is a list, a (op, s, dW, n_before, charge, bound) row is
+    appended per event; that is the calibration hook.
 
     The potential is read from the heap's incremental tallies (O(roots) per
     op); verify_tallies pins those to a full recount during fuzzing, so the
     budget audit can afford to trust them here.
     """
-    from .padovan import PadovanHeap  # local import keeps module load light
-    from .trace import replay
 
-    if model is None:
-        model = CostModel()
-    heap = PadovanHeap()
-    t = model.t
-    violations = []
-    state = {}
+    __slots__ = ("heap", "model", "rows", "violations", "_w", "_s", "_n")
 
-    def weighted_now():
-        p = heap.potentials()
-        return (t[0] * p[0] + t[1] * p[1] + t[2] * p[2] + t[3] * p[3]
-                + t[4] * p[4] + t[5] * p[5] + t[6] * p[6])
+    def __init__(self, heap, model=None, rows=None):
+        self.heap = heap
+        self.model = model if model is not None else CostModel()
+        self.rows = rows
+        self.violations = []
 
-    def before(idx, ev):
-        state["W"] = weighted_now()
-        state["s"] = heap.arena.counters.analysis_steps
-        state["n"] = heap.size
+    def before(self, idx, ev):
+        heap = self.heap
+        self._w = self.model.weighted(heap.potentials())
+        self._s = heap.arena.counters.analysis_steps
+        self._n = heap.size
 
-    def after(idx, ev):
-        w_after = weighted_now()
-        s = heap.arena.counters.analysis_steps - state["s"]
-        dw = w_after - state["W"]
+    def after(self, idx, ev):
+        heap = self.heap
+        model = self.model
+        s = heap.arena.counters.analysis_steps - self._s
+        dw = model.weighted(heap.potentials()) - self._w
         charge = s + dw
         op = ev[0]
         if op in _LOG_OPS:
-            bound = model.log_budget(state["n"])
+            bound = model.log_budget(self._n)
         else:
             bound = model.budget_const
-        if stats_out is not None:
-            stats_out.append((op, s, dw, state["n"], charge, bound))
+        if self.rows is not None:
+            self.rows.append((op, s, dw, self._n, charge, bound))
         if charge > bound:
-            violations.append(Violation(
+            self.violations.append(Violation(
                 "budget", op=op, index=idx, steps=s, dW=dw,
                 charge=charge, bound=round(bound, 3)))
 
-    replay(events, heap, before=before, after=after)
-    return violations
+
+def audit_amortized(events, model=None, stats_out=None):
+    """Replay a trace on a fresh PadovanHeap under a BudgetAudit.
+
+    Returns the list of budget Violations (empty when the accounting holds).
+    When stats_out is a list, it receives BudgetAudit's per-event rows.
+    """
+    heap = PadovanHeap()
+    audit = BudgetAudit(heap, model, stats_out)
+    replay(events, heap, before=audit.before, after=audit.after)
+    return audit.violations

@@ -14,7 +14,7 @@ import argparse
 import csv
 import sys
 
-from .auditor import CostModel, Violation, audit_state, check_root_safety
+from .auditor import BudgetAudit, audit_state, check_root_safety, children
 from .errors import HeapError
 from .fibonacci import FibonacciHeap
 from .node_store import OUTER_PLACED, STATUS_NAMES
@@ -75,17 +75,7 @@ def write_dot(heap, stream):
             status = "-" if is_root else STATUS_NAMES[v.status]
             stream.write('  n%d [label="%s/%d/%s"];\n'
                          % (id(v), v.key, v.rank, status))
-            c = v.child
-            if c is None:
-                continue
-            kids = []
-            w = c
-            while True:
-                kids.append(w)
-                if w.right.left is not w:
-                    break
-                w = w.right
-            for w in kids:
+            for w in children(v):
                 dashed = " [style=dashed]" if w.status >= OUTER_PLACED else ""
                 stream.write("  n%d -> n%d%s;\n" % (id(v), id(w), dashed))
                 stack.append((w, False))
@@ -101,42 +91,21 @@ class _AuditFailure(Exception):
         self.event = event
 
 
-def _audited_replay(events, heap, model=None):
+def _audited_replay(events, heap):
     """Replay with a full state audit and a budget check after every op."""
-    if model is None:
-        model = CostModel()
-    t = model.t
-    state = {}
-
-    def weighted():
-        p = heap.potentials()
-        return sum(t[i] * p[i] for i in range(7))
-
-    def before(idx, ev):
-        state["W"] = weighted()
-        state["s"] = heap.arena.counters.analysis_steps
-        state["n"] = heap.size
+    budget = BudgetAudit(heap)
 
     def after(idx, ev):
+        budget.after(idx, ev)
         violations = audit_state(heap)
         if ev[0] == "f":
             # the consolidated root must have been made safe
             violations.extend(check_root_safety(heap))
-        s = heap.arena.counters.analysis_steps - state["s"]
-        dw = weighted() - state["W"]
-        charge = s + dw
-        if ev[0] in ("d", "x"):
-            bound = model.log_budget(state["n"])
-        else:
-            bound = model.budget_const
-        if charge > bound:
-            violations.append(Violation(
-                "budget", op=ev[0], index=idx, steps=s, dW=dw,
-                charge=charge, bound=round(bound, 3)))
+        violations.extend(budget.violations)  # this event's, if any
         if violations:
             raise _AuditFailure(violations, idx, ev)
 
-    return replay(events, heap, before=before, after=after)
+    return replay(events, heap, before=budget.before, after=after)
 
 
 def _cmd_run(args):

@@ -120,10 +120,6 @@ class Arena:
     def is_live(self, v):
         return isinstance(v, Node) and id(v) in self._live
 
-    @property
-    def live_count(self):
-        return len(self._live)
-
     # -- sibling-list surgery ------------------------------------------
     #
     # All operations keep the representation invariants described in the

@@ -91,8 +91,6 @@ class PadovanHeap:
         self._dangerous = 0
         self.max_rank_seen = 0
         self._buckets = [None] * 64
-        # optional callable(u, w) invoked on every vertex-vertex comparison
-        self._cmp_hook = None
 
     # -- bookkeeping helpers -------------------------------------------
 
@@ -343,7 +341,6 @@ class PadovanHeap:
         join_back = self.arena.join_back
         join_front = self.arena.join_front
         buckets = self._buckets
-        hook = self._cmp_hook
         t = self._stat_tally
         top = self.max_rank_seen
         joins = links = 0  # completed ones; the tallies take them at exit
@@ -376,8 +373,6 @@ class PadovanHeap:
                         buckets[r] = w
                         break
                     buckets[r] = None
-                    if hook is not None:
-                        hook(occ, w)
                     if occ.key <= w.key:
                         w, loser = occ, w
                     else:
@@ -407,8 +402,6 @@ class PadovanHeap:
                 y = x.left
                 if y is x:
                     break
-                if hook is not None:
-                    hook(y, x)
                 if y.key <= x.key:
                     winner, loser = y, x
                 else:
@@ -419,8 +412,8 @@ class PadovanHeap:
                 links += 1
                 x = winner.left
         except BaseException:
-            # a key comparison or the hook raised: drop the bucket entries,
-            # which the next find_min would otherwise join against
+            # a key comparison raised: drop the bucket entries, which the
+            # next find_min would otherwise join against
             buckets[:] = [None] * len(buckets)
             raise
         finally:

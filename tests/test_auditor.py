@@ -9,9 +9,9 @@ from padovanheap import PadovanHeap, plastic_cap
 from padovanheap.node_store import (
     NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
 from padovanheap.auditor import (
-    CostModel, PotentialVector, Violation, audit_amortized, audit_state,
-    check_root_safety, check_size_bounds, check_structure,
-    compute_potentials, is_ancestor, size_bound_table, verify_tallies)
+    CostModel, Violation, audit_amortized, audit_state, check_root_safety,
+    check_size_bounds, check_structure, compute_potentials, size_bound_table,
+    verify_tallies)
 from padovanheap.trace import gen_workload
 
 
@@ -42,14 +42,21 @@ def test_potentials_consolidated_states():
     assert h2.potentials() == (1, 0, 1, 0, 0, 0, 0)
 
 
-def test_potential_vector():
-    p = PotentialVector((1, 2, 3, 4, 5, 6, 7))
-    assert p.as_tuple() == (1, 2, 3, 4, 5, 6, 7)
-    assert p[0] == 1 and p[6] == 7
-    assert p == PotentialVector((1, 2, 3, 4, 5, 6, 7))
-    assert hash(p) == hash(PotentialVector((1, 2, 3, 4, 5, 6, 7)))
+def test_cost_model_weighted():
+    phis = (1, 2, 3, 4, 5, 6, 7)
     m = CostModel()
-    assert p.weighted(m) == sum(t * v for t, v in zip(m.t, (1, 2, 3, 4, 5, 6, 7)))
+    assert m.weighted(phis) == sum(t * v for t, v in zip(m.t, phis)) == 96
+    assert m.weighted((0,) * 7) == 0
+    # each weight reaches its own potential and no other
+    for i in range(7):
+        unit = tuple(int(j == i) for j in range(7))
+        assert m.weighted(unit) == m.t[i]
+    m2 = CostModel(t=(1, 2, 3, 8, 9, 3, 4))
+    assert m2.weighted(phis) == 1 + 4 + 9 + 32 + 45 + 18 + 28
+    h = PadovanHeap()
+    for k in range(5):
+        h.insert(k)
+    assert m.weighted(h.potentials()) == m.weighted(compute_potentials(h))
 
 
 def test_cost_model_constraints():
@@ -208,19 +215,6 @@ def test_root_safety_flags_resting_dangerous_root():
     assert audit_state(h) == []
 
 
-# ------------------------------------------------------------ ancestry
-
-def test_is_ancestor():
-    h, hs = build8()
-    assert is_ancestor(h, hs[1], hs[8])
-    assert is_ancestor(h, hs[5], hs[8])
-    assert is_ancestor(h, hs[7], hs[8])
-    assert not is_ancestor(h, hs[3], hs[8])
-    assert not is_ancestor(h, hs[8], hs[8])
-    assert not is_ancestor(h, hs[8], hs[5])
-    assert not is_ancestor(h, hs[2], hs[1])
-
-
 # ------------------------------------------------- comparison discipline
 
 def test_comparisons_only_between_roots():
@@ -232,22 +226,39 @@ def test_comparisons_only_between_roots():
             x = x.right
         return x.right
 
-    def hook(u, w):
-        assert owner_of(u) is h.dummy and owner_of(w) is h.dummy
-        pairs.append((u.key, w.key))
+    class Key:
+        """A key that knows its vertex: every <= it takes part in must be
+        between two roots, and is recorded."""
 
-    h._cmp_hook = hook
+        def __init__(self, value):
+            self.value = value
+            self.vertex = None
+
+        def __le__(self, other):
+            assert owner_of(self.vertex) is h.dummy
+            assert owner_of(other.vertex) is h.dummy
+            pairs.append((self.value, other.value))
+            return self.value <= other.value
+
+        def __gt__(self, other):  # decrease_key's increase test
+            return self.value > other.value
+
     rng = random.Random(31)
     hs = []
     for k in rng.sample(range(10**5), 200):
-        hs.append(h.insert(k))
+        key = Key(k)
+        key.vertex = h.insert(key)
+        hs.append(key.vertex)
     for _ in range(80):
         h.delete_min()
     for v in hs:
         if h.arena.is_live(v):
-            h.decrease_key(v, v.key - 10**5)
+            key = Key(v.key.value - 10**5)
+            key.vertex = v
+            h.decrease_key(v, key)
             break
     h.find_min()
+    assert pairs
     assert len(pairs) == h.arena.counters.comparisons
 
 
@@ -265,11 +276,11 @@ def test_meld_shifts_weighted_potential_by_phi2_only():
     for k in range(100, 130):
         h2.insert(k)
     assert h1.potentials()[2] == h2.potentials()[2] == 13
-    w1 = PotentialVector(h1.potentials()).weighted(m)
-    w2 = PotentialVector(h2.potentials()).weighted(m)
+    w1 = m.weighted(h1.potentials())
+    w2 = m.weighted(h2.potentials())
     h1.meld(h2)
     assert h1.potentials()[2] == 15  # cap of 60 keys, not 13 + 13
-    wm = PotentialVector(h1.potentials()).weighted(m)
+    wm = m.weighted(h1.potentials())
     assert wm == w1 + w2 + t2 * (15 - 26)
     assert audit_state(h1) == []
 
@@ -283,11 +294,11 @@ def test_meld_shifts_weighted_potential_by_phi2_only():
     for k in range(2000, 2010):
         g2.insert(k)
     assert g2.potentials()[2] == 9  # capped at plastic_cap(10)
-    w1 = PotentialVector(g1.potentials()).weighted(m)
-    w2 = PotentialVector(g2.potentials()).weighted(m)
+    w1 = m.weighted(g1.potentials())
+    w2 = m.weighted(g2.potentials())
     g1.meld(g2)
     assert g1.potentials()[2] == 11  # 11 trees, cap now 25: tree-limited
-    wm = PotentialVector(g1.potentials()).weighted(m)
+    wm = m.weighted(g1.potentials())
     assert wm == w1 + w2 + t2  # strictly increases, by exactly t2
     assert audit_state(g1) == []
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import padovanheap
+from padovanheap import PadovanHeap
+from padovanheap.auditor import CostModel
 from padovanheap.cli import CSV_HEADER, main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -90,6 +92,39 @@ def test_run_audit_clean(tmp_path, capsys):
     tr = write(tmp_path, "t.txt", "i 2\ni 7\ni 4\nf\nk 2 0\nd\nd\nd\n")
     assert run_cli("run", tr, "--audit") == 0
     assert capsys.readouterr().out == "2\n0\n2\n4\n"
+
+
+def test_run_audit_fails_on_a_state_violation(tmp_path, capsys, monkeypatch):
+    real_find_min = PadovanHeap.find_min
+
+    def find_min_then_break_heap_order(self):
+        m = real_find_min(self)
+        m.child.key = 1  # under the root 3
+        return m
+
+    monkeypatch.setattr(PadovanHeap, "find_min",
+                        find_min_then_break_heap_order)
+    tr = write(tmp_path, "t.txt", "i 5\ni 3\ni 9\nf\nd\n")
+    assert run_cli("run", tr, "--audit") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("audit failed at event 3 (f):\n"
+                   "  kind=heap_order child_key=1 parent_key=3\n")
+
+
+def test_run_audit_fails_on_a_budget_violation(tmp_path, capsys,
+                                               monkeypatch):
+    # the default model with both budgets at 0: the first insert's
+    # charge, t0 + t2 = 3, is over
+    monkeypatch.setattr(CostModel.__init__, "__defaults__",
+                        ((1, 1, 2, 6, 6, 2, 3), 0, 0))
+    tr = write(tmp_path, "t.txt", "i 5\ni 3\nf\n")
+    assert run_cli("run", tr, "--differential", "--audit") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("audit failed at event 0 (i 5):\n"
+                   "  kind=budget bound=0 charge=3 dW=3 index=0 op='i' "
+                   "steps=0\n")
 
 
 def test_stats_csv(tmp_path, capsys):

@@ -160,9 +160,9 @@ def test_concat_cases_and_counts():
 def test_liveness_and_free():
     a = Arena()
     v = a.alloc(1)
-    assert a.is_live(v) and a.live_count == 1
+    assert a.is_live(v) and len(a._live) == 1
     a.free(v)
-    assert not a.is_live(v) and a.live_count == 0
+    assert not a.is_live(v) and len(a._live) == 0
     assert v.left is None and v.right is None and v.child is None
     with pytest.raises(AssertionError):
         a.free(v)
@@ -280,7 +280,7 @@ def test_alloc_back_equals_alloc_then_push_back():
             assert a.is_live(v) and v.key == "v" and v.rank == 0
             assert v.status == NONCRITICAL_INNER and v.child is None
             results.append((a.counters.link_writes - base,
-                            _links([p] + members + [v]), a.live_count))
+                            _links([p] + members + [v]), len(a._live)))
         assert results[0] == results[1], n
         assert results[0][0] == (4 if n == 0 else 6)  # 2 + 2 or 2 + 4
 
