@@ -92,7 +92,22 @@ class StepCounters:
 
 
 class Arena:
-    """Allocator + low-level sibling-list surgery with counted link writes."""
+    """Allocator + sibling-list moves with counted link writes.
+
+    The heaps move vertices between lists only through the one-call moves
+    below. Each counts the writes of the two-step form of its move, skipped
+    ones too: unlinking costs 1 for a sole member, else 2, plus 2 to reset
+    the vertex to a singleton; inserting costs 2 into an empty list, else 4.
+
+        alloc           2
+        alloc_back      4 into an empty list, else 6
+        join_back       5 for a sole loser, else 6; +2 if winner has children
+        join_front      6, or 8 if winner has children (loser is never sole)
+        move_front      5 for a sole member, else 8
+        detach_promote  3 for a sole v, else 4; +3 if v's children become
+                        the whole list, +5 if they join other members
+        concat          0 for an empty donor, 3 into an empty target, else 5
+    """
 
     __slots__ = ("counters", "_live")
 
@@ -120,92 +135,11 @@ class Arena:
     def is_live(self, v):
         return isinstance(v, Node) and id(v) in self._live
 
-    # -- sibling-list surgery ------------------------------------------
-    #
-    # All operations keep the representation invariants described in the
-    # module docstring and count every left/right/child write.
-
-    def push_front(self, owner, v):
-        """Make detached singleton v the new leftmost member of owner's list."""
-        first = owner.child
-        if first is None:
-            # v.left is already v (detached singleton)
-            v.right = owner
-            owner.child = v
-            self.counters.link_writes += 2
-        else:
-            last = first.left
-            v.left = last
-            v.right = first
-            first.left = v
-            owner.child = v
-            self.counters.link_writes += 4
-
-    def push_back(self, owner, v):
-        """Make detached singleton v the new rightmost member of owner's list."""
-        first = owner.child
-        if first is None:
-            v.right = owner
-            owner.child = v
-            self.counters.link_writes += 2
-        else:
-            last = first.left
-            last.right = v
-            v.left = last
-            v.right = owner
-            first.left = v
-            self.counters.link_writes += 4
-
-    def detach(self, v, owner=None):
-        """Remove v from its list, leaving it a detached singleton.
-
-        If v is the rightmost member the caller MUST supply the owner: only
-        then can the new rightmost member's right link be rewired. (The heap
-        algorithms only ever detach a rightmost node with the owner already
-        in hand.) For every other position the owner is recoverable or not
-        needed.
-        """
-        c = self.counters
-        if v.right.left is not v:
-            # v is rightmost; v.right is the owner
-            if owner is None:
-                raise ValueError("detach of a rightmost node requires the owner")
-            assert v.right is owner, "owner mismatch on rightmost detach"
-            if v.left is v:
-                owner.child = None
-                c.link_writes += 1
-            else:
-                new_last = v.left
-                new_last.right = owner
-                owner.child.left = new_last
-                c.link_writes += 2
-        elif v.left.right is not v:
-            # v is leftmost (and not rightmost); v.left is the rightmost
-            # member, whose right link is the owner
-            last = v.left
-            own = last.right
-            nxt = v.right
-            nxt.left = last
-            own.child = nxt
-            c.link_writes += 2
-        else:
-            # interior: both neighbors are members
-            prev = v.left
-            nxt = v.right
-            prev.right = nxt
-            nxt.left = prev
-            c.link_writes += 2
-        v.left = v
-        v.right = v
-        c.link_writes += 2
-
-    # The heap's list moves, each fused into one call that counts exactly the
-    # link writes of the two-call form it replaces: detach's two
-    # singleton-reset writes are counted even where the second half
-    # overwrites them and so they are skipped.
+    # -- sibling-list moves: each keeps the module docstring's invariants --
 
     def alloc_back(self, owner, key):
-        """alloc(key) + push_back(owner, v) in one call; returns v."""
+        """Allocate a vertex for key as the new rightmost member of owner's
+        list; returns it. 4 writes into an empty list, 6 otherwise."""
         v = Node(key)
         self._live.add(id(v))
         first = owner.child
@@ -223,11 +157,9 @@ class Arena:
         return v
 
     def join_back(self, owner, winner, loser):
-        """detach(loser, owner) + push_back(winner, loser) in one call.
-
-        As with detach, owner may be None unless loser is rightmost.
-        winner's children form a list other than loser's.
-        """
+        """Move loser from owner's list to the right end of winner's children,
+        another list: 5 or 6 writes, +2 if winner has children. owner may be
+        None unless loser is rightmost."""
         if loser.right.left is not loser:  # rightmost
             new_last = loser.left
             if new_last is loser:  # sole member
@@ -264,10 +196,12 @@ class Arena:
             self.counters.link_writes += w + 4
 
     def join_front(self, owner, winner, loser):
-        """detach(loser, owner) + push_front(winner, loser) in one call.
+        """Move loser, not the only member of owner's list, to the front of
+        winner's children: 6 writes, or 8 if winner has children.
 
-        loser is a member of owner's list but not its only one, and winner's
-        children form another list.
+        winner may be owner itself: each unlink branch leaves owner.child at
+        a remaining member, which the insertion then reads, so a move within
+        owner's list is correct too, at 8 writes.
         """
         if loser.right.left is not loser:  # rightmost
             new_last = loser.left
@@ -295,12 +229,18 @@ class Arena:
             winner.child = loser
             self.counters.link_writes += 8
 
-    def detach_promote(self, owner, v):
-        """detach(v, owner) + concat(owner, v) in one call.
+    def move_front(self, owner, v):
+        """Move member v of owner's list to its front: 5 writes for a sole
+        member, which is already in front, 8 otherwise."""
+        if v.left is v:
+            self.counters.link_writes += 5
+        else:
+            self.join_front(owner, owner, v)
 
-        v leaves owner's list and its children follow at the right end of
-        that list. v's own links are left as they were: free it next.
-        """
+    def detach_promote(self, owner, v):
+        """Take v out of owner's list and append v's children at its right
+        end, in order: 3 or 4 writes, +3 or +5 with children. v's own links
+        are left as they were: free it next."""
         kid = v.child
         if v.right.left is not v:  # rightmost
             new_last = v.left
@@ -369,16 +309,3 @@ class Arena:
         if v.right.left is not v:
             return LAST, v.right
         return SECOND_LAST, v.right.right
-
-    # -- debugging aids (uncounted) ------------------------------------
-
-    def list_members(self, owner, limit=None):
-        """Members of owner's list, leftmost first, following right links."""
-        out = []
-        v = owner.child
-        bound = limit if limit is not None else len(self._live) + 1
-        while v is not None and v is not owner:
-            out.append(v)
-            assert len(out) <= bound, "right chain does not close on the owner"
-            v = v.right
-        return out

@@ -145,16 +145,14 @@ class PadovanHeap:
         rho = w0.rank + 1 if st == CRITICAL_INNER else w0.rank
         return r <= rho
 
-    def _demote_rightmost(self, p):
-        """Move p's rightmost child to the front as an outer placed child.
+    def _place(self, owner, w):
+        """Move child w of owner to the front as an outer placed child.
 
-        Only p's danger test reads the moved child; the caller settles it.
+        Only owner's danger test reads the moved child; the caller settles it.
         """
-        w0 = p.child.left
         a = self.arena
-        a.detach(w0, p)
-        self._set_status(w0, OUTER_PLACED)
-        a.push_front(p, w0)
+        a.move_front(owner, w)
+        self._set_status(w, OUTER_PLACED)
         a.counters.placings += 1
 
     # -- rank machinery ------------------------------------------------
@@ -172,7 +170,7 @@ class PadovanHeap:
                 c = p.child
                 w0 = c.left if c is not None else None
                 if w0 is not None and w0.status == OUTER_MISPLACED:
-                    self._demote_rightmost(p)
+                    self._place(p, w0)
                     continue
                 break
             if w0 is None or w0.status == OUTER_PLACED:
@@ -196,7 +194,7 @@ class PadovanHeap:
                     gap = rho0 > rho1 + 1
             if gap and st0 == CRITICAL_INNER:
                 counters.rank_steps += 1  # rule 2
-                self._demote_rightmost(p)
+                self._place(p, w0)
                 continue
             counters.rank_steps += 1
             new_rank = rho0 if gap else rho0 + 1  # rule 1 : rule 3
@@ -212,7 +210,7 @@ class PadovanHeap:
         # danger test (a root has no parent to read its rank), so the tally
         # takes one decrement, when the loop leaves v safe.
         while True:
-            self._demote_rightmost(v)
+            self._place(v, v.child.left)
             self._recompute_rank(v)
             if not self._is_dangerous(v):
                 break
@@ -282,10 +280,7 @@ class PadovanHeap:
                     stop = False
                 elif st == NONCRITICAL_INNER or st == CRITICAL_INNER:
                     # demote and place immediately: the parent is in hand
-                    a.detach(p, g)
-                    self._set_status(p, OUTER_PLACED)
-                    a.push_front(g, p)
-                    a.counters.placings += 1
+                    self._place(g, p)
                     stop = False
                 else:
                     pass  # outer child: rank updated, cascade stops here

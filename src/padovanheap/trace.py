@@ -19,6 +19,8 @@ error; it surfaces as a runtime failure during replay.
 
 import heapq
 import random
+from bisect import bisect
+from itertools import accumulate
 
 from .errors import EmptyHeapError
 
@@ -135,8 +137,10 @@ def format_trace(events):
     return "\n".join(lines) + "\n"
 
 
-_RANDOM_WEIGHTS = (("i", 0.40), ("d", 0.20), ("f", 0.10),
-                   ("k", 0.25), ("x", 0.05))
+# random mode's ops and their cumulative weights, summed as random.choices
+# sums them: one bisect then draws exactly as choices(_OPS, weights) does
+_OPS = ("i", "d", "f", "k", "x")
+_CUM = list(accumulate((0.40, 0.20, 0.10, 0.25, 0.05)))
 
 
 def iter_workload(mode, n, seed=0):
@@ -170,8 +174,8 @@ def iter_workload(mode, n, seed=0):
         used = set()   # all keys ever issued; keeps live keys distinct
         next_id = 0
         span = 10 ** 6
-        ops = [w[0] for w in _RANDOM_WEIGHTS]
-        weights = [w[1] for w in _RANDOM_WEIGHTS]
+        draw = rng.random
+        total = _CUM[-1]
 
         def drop(vid):
             del live[vid]
@@ -182,7 +186,7 @@ def iter_workload(mode, n, seed=0):
                 pos[last] = i
 
         for _ in range(n):
-            op = rng.choices(ops, weights)[0] if live else "i"
+            op = _OPS[bisect(_CUM, draw() * total, 0, 4)] if live else "i"
             if op == "i":
                 while True:
                     key = rng.randrange(-span, span)

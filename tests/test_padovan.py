@@ -9,7 +9,7 @@ from padovanheap import PadovanHeap, Oracle, plastic_cap, STATUS_NAMES
 from padovanheap.node_store import (
     NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
-from padovanheap.auditor import audit_state, check_root_safety
+from padovanheap.auditor import audit_state, check_root_safety, children
 from padovanheap.trace import iter_workload, replay
 
 
@@ -17,7 +17,7 @@ def shape(h):
     """(key, rank, [children keys left-to-right]) for each root, in root order."""
     out = []
     for r in h.roots():
-        kids = [(w.key, STATUS_NAMES[w.status]) for w in h.arena.list_members(r)]
+        kids = [(w.key, STATUS_NAMES[w.status]) for w in children(r)]
         out.append((r.key, r.rank, kids))
     return out
 
@@ -79,7 +79,7 @@ def test_four_roots_chain_to_rank_two():
     assert m.key == 1
     roots = list(h.roots())
     assert len(roots) == 1 and roots[0].rank == 2
-    kids = h.arena.list_members(roots[0])
+    kids = children(roots[0])
     assert [w.rank for w in kids] == [0, 1]
     assert [w.status for w in kids] == [NONCRITICAL_INNER, NONCRITICAL_INNER]
     assert h.potentials() == (1, 0, 1, 0, 0, 0, 0)
@@ -93,7 +93,7 @@ def test_eight_roots_make_rank_three():
     assert h.find_min().key == 1
     (r,) = list(h.roots())
     assert r.rank == 3
-    assert [w.rank for w in h.arena.list_members(r)] == [0, 1, 2]
+    assert [w.rank for w in children(r)] == [0, 1, 2]
     audit_clean(h)
 
 
@@ -154,7 +154,7 @@ def test_decrease_key_not_last_two_is_local():
     hs = {k: h.insert(k) for k in range(1, 9)}
     h.find_min()
     (r,) = list(h.roots())
-    w0 = h.arena.list_members(r)[0]
+    w0 = children(r)[0]
     assert w0.rank == 0
     c = h.arena.counters
     rs = c.rank_steps
@@ -169,7 +169,7 @@ def test_decrease_key_rightmost_triggers_recompute():
     hs = {k: h.insert(k) for k in range(1, 9)}
     h.find_min()
     (r,) = list(h.roots())
-    last = h.arena.list_members(r)[-1]
+    last = children(r)[-1]
     assert last.rank == 2
     rs = h.arena.counters.rank_steps
     h.decrease_key(hs[last.key], 0)
@@ -185,7 +185,7 @@ def test_cascade_critical_flip_then_rule_two():
     hs = {k: h.insert(k) for k in range(1, 9)}
     h.find_min()
     (r,) = list(h.roots())
-    assert [w.key for w in h.arena.list_members(r)] == [2, 3, 5]
+    assert [w.key for w in children(r)] == [2, 3, 5]
 
     h.decrease_key(hs[7], 0)
     five = hs[5]
@@ -197,8 +197,8 @@ def test_cascade_critical_flip_then_rule_two():
     # rule 2 kicked 5 to the placed prefix, rule 3 settled on child 2
     assert five.status == OUTER_PLACED
     assert r.rank == 1
-    assert [w.key for w in h.arena.list_members(r)] == [5, 2]
-    assert [w.status for w in h.arena.list_members(r)] == [OUTER_PLACED, NONCRITICAL_INNER]
+    assert [w.key for w in children(r)] == [5, 2]
+    assert [w.status for w in children(r)] == [OUTER_PLACED, NONCRITICAL_INNER]
     audit_clean(h)
 
 
