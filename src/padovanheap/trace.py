@@ -140,7 +140,7 @@ def format_trace(events):
 # random mode's ops and their cumulative weights, summed as random.choices
 # sums them: one bisect then draws exactly as choices(_OPS, weights) does
 _OPS = ("i", "d", "f", "k", "x")
-_CUM = list(accumulate((0.40, 0.20, 0.10, 0.25, 0.05)))
+_CUM = tuple(accumulate((0.40, 0.20, 0.10, 0.25, 0.05)))
 
 
 def iter_workload(mode, n, seed=0):
@@ -174,8 +174,6 @@ def iter_workload(mode, n, seed=0):
         used = set()   # all keys ever issued; keeps live keys distinct
         next_id = 0
         span = 10 ** 6
-        draw = rng.random
-        total = _CUM[-1]
 
         def drop(vid):
             del live[vid]
@@ -186,7 +184,8 @@ def iter_workload(mode, n, seed=0):
                 pos[last] = i
 
         for _ in range(n):
-            op = _OPS[bisect(_CUM, draw() * total, 0, 4)] if live else "i"
+            op = (_OPS[bisect(_CUM, rng.random() * _CUM[-1], 0, 4)]
+                  if live else "i")
             if op == "i":
                 while True:
                     key = rng.randrange(-span, span)
