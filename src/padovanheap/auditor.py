@@ -2,7 +2,9 @@
 
 Everything here recomputes its answers from the raw forest — it never trusts
 the heap's own incremental tallies (those are what verify_tallies checks).
-Walks are iterative; trees can be deep enough to blow the recursion limit.
+Every check reads one iterative link walk that follows no child list for
+more than heap.size + 1 hops, so corrupted links cannot hang the auditor;
+children and iter_vertices trust links and are for sound heaps.
 
 The amortized side mechanizes the accounting that makes the heap work:
 seven potentials
@@ -129,37 +131,6 @@ def _is_dangerous(v):
     return v.rank <= _rho(w0)
 
 
-def _walk_list(owner, cap):
-    """Follow right links from owner.child; return (members, violations).
-
-    Stops after cap hops so corrupted links cannot hang the auditor.  The
-    members list is best-effort when a violation is reported.
-    """
-    out = []
-    violations = []
-    v = owner.child
-    if v is None:
-        return out, violations
-    steps = 0
-    while True:
-        steps += 1
-        if steps > cap:
-            violations.append(Violation(
-                "broken_owner_link", owner_key=owner.key,
-                detail="right walk exceeded %d nodes" % cap))
-            return out, violations
-        out.append(v)
-        nxt = v.right
-        if nxt.left is v:
-            v = nxt
-            continue
-        # v says it is the rightmost; its right link must be the owner
-        if nxt is not owner:
-            violations.append(Violation(
-                "broken_owner_link", owner_key=owner.key, child_key=v.key))
-        return out, violations
-
-
 def children(v):
     """v's children, leftmost first. Trusts links."""
     kids = []
@@ -184,132 +155,84 @@ def iter_vertices(heap):
             stack.extend(reversed(children(v)))
 
 
-def _recount(heap):
-    """Walk the forest once: (phi0..phi6, raw status tally, rank sum).
+def _walk(heap):
+    """Pass 1 of check_structure: the one link walk every check reads.
 
-    The raw tally counts the status field of every live vertex, roots
-    included, as the heap's own tally does; an unknown status counts as
-    noncritical inner.
+    No child list is followed for more than heap.size + 1 hops, and a
+    broken list is not descended into, so corrupted links cannot hang the
+    auditor. Returns (violations, seen, lists, root_ids): seen maps id to
+    vertex, and lists holds (owner, members) in discovery order, the root
+    list first, so reversed(lists) is children first. Best-effort when
+    violations is non-empty.
     """
-    n = heap.size
-    root_ids = {id(r) for r in heap.roots()}
-    tau = len(root_ids)
-    nonroot = [0, 0, 0, 0]  # by status
-    root = [0, 0, 0, 0]
-    rank_sum = 0
-    dangerous = 0
-    for v in iter_vertices(heap):
-        rank_sum += v.rank
-        if _is_dangerous(v):
-            dangerous += 1
-        st = v.status
-        if not CRITICAL_INNER <= st <= OUTER_MISPLACED:
-            st = NONCRITICAL_INNER
-        if id(v) in root_ids:
-            root[st] += 1
-        else:
-            nonroot[st] += 1
-    critical = nonroot[CRITICAL_INNER]
-    inner = nonroot[NONCRITICAL_INNER] + critical
-    phi2 = 0 if n == 0 else min(tau, plastic_cap(n))
-    phis = (tau, nonroot[OUTER_PLACED], phi2, critical, rank_sum - inner,
-            nonroot[OUTER_MISPLACED], dangerous)
-    return phis, [a + b for a, b in zip(nonroot, root)], rank_sum
-
-
-def compute_potentials(heap):
-    """Recompute phi0..phi6 from scratch by walking the forest."""
-    return _recount(heap)[0]
-
-
-def verify_tallies(heap):
-    """Compare the heap's incremental tallies against a fresh walk.
-
-    potentials() comes first. Only when all seven agree are the raw
-    ingredients compared too, since phi4 reads the rank sum and the
-    noncritical tally only through their difference. (phi6 is the
-    dangerous-vertex count itself.)
-    """
-    walked, tally, rank_sum = _recount(heap)
-    cached = tuple(heap.potentials())
-    out = []
-    for i in range(7):
-        if walked[i] != cached[i]:
-            out.append(Violation("tally_mismatch", phi=i,
-                                 walked=walked[i], cached=cached[i]))
-    if out:
-        return out
-    fields = [("_rank_sum", rank_sum, heap._rank_sum)]
-    for i in range(4):
-        fields.append(("_stat_tally[%d]" % i, tally[i],
-                       heap._stat_tally[i]))
-    for field, w, c in fields:
-        if w != c:
-            out.append(Violation("tally_mismatch", field=field,
-                                 walked=w, cached=c))
-    return out
-
-
-def check_structure(heap):
-    """Evaluate every structural invariant; violations are data, not errors.
-
-    Pass 1 checks the doubly linked lists themselves (right chains end at
-    their owner, left links close the cycle, no vertex is shared, every
-    vertex is arena-live, the partition covers exactly heap.size vertices).
-    If pass 1 finds anything, those violations are returned alone — content
-    checks over broken links would be noise.
-
-    Pass 2 checks content: heap order, the placed-prefix layout, strictly
-    increasing inner rho (****), the index bound (***), the rank budget (*),
-    rank consistency against the rank rules, the no-steady-dangerous rule
-    (**), no misplaced rightmost child at rest, and no root left in the
-    rule-2 state (critical rightmost child across a gap).
-    """
-    a = heap.arena
+    is_live = heap.arena.is_live
     d = heap.dummy
     cap = heap.size + 1
     violations = []
-
-    # pass 1: link integrity and the ownership partition
     seen = {}
-    lists = []  # (owner, members)
-    stack = [d]
+    lists = []
+    stack = [d] if d.child is not None else []
     while stack:
         owner = stack.pop()
-        members, vs = _walk_list(owner, cap)
-        violations.extend(vs)
-        if members:
-            lists.append((owner, members))
-        if vs:
+        members = []
+        lists.append((owner, members))
+        v = owner.child
+        for _ in range(cap):
+            members.append(v)
+            nxt = v.right
+            if nxt.left is not v:
+                break
+            v = nxt
+        else:
+            violations.append(Violation(
+                "broken_owner_link", owner_key=owner.key,
+                detail="right walk exceeded %d nodes" % cap))
+            continue
+        # v says it is the rightmost; its right link must be the owner
+        if nxt is not owner:
+            violations.append(Violation(
+                "broken_owner_link", owner_key=owner.key, child_key=v.key))
             continue  # do not trust or recurse into a broken list
-        # left links: one cycle, leftmost.left == rightmost
-        for i, v in enumerate(members):
-            want = members[i - 1]  # i==0 wraps to the rightmost
-            if v.left is not want:
+        prev = v  # left links close one cycle: leftmost.left == rightmost
+        for v in members:
+            if v.left is not prev:
                 violations.append(Violation(
                     "broken_left_cycle", owner_key=owner.key, child_key=v.key))
-        for v in members:
+            prev = v
             if id(v) in seen:
                 violations.append(Violation("shared_vertex", key=v.key))
                 continue
-            if not a.is_live(v):
+            if not is_live(v):
                 violations.append(Violation("dead_vertex", key=v.key))
             seen[id(v)] = v
-            stack.append(v)
+            if v.child is not None:
+                stack.append(v)
     if not violations and len(seen) != heap.size:
         violations.append(Violation(
             "size_mismatch", reachable=len(seen), recorded=heap.size))
-    if violations:
-        return violations
+    root_ids = {id(r) for r in lists[0][1]} if lists else set()
+    return violations, seen, lists, root_ids
 
-    # pass 2: content, read from pass 1's lists without a second walk
-    kids_of = {}
-    root_ids = ()
-    for owner, members in lists:
-        kids_of[id(owner)] = members
-        if owner is d:
-            root_ids = {id(r) for r in members}
-            continue  # root list: statuses and order are meaningless
+
+def _audit(heap, table=None):
+    """Walk the forest once; read every check from that one walk.
+
+    Returns (structure, undersized, tallies, phis): the violations of
+    check_structure's pass 2, check_size_bounds and verify_tallies, and
+    phi0..phi6 recounted. When pass 1 finds anything, its violations
+    stand in for each of the three lists and phis is None.
+    """
+    links, seen, lists, root_ids = _walk(heap)
+    if links:
+        return links, links, links, None
+    if table is None:
+        table = size_bound_table(heap.max_rank_seen + 1)
+    violations = []
+
+    # pass 2, per child list; the root list, lists[0], is skipped, since
+    # statuses and order are meaningless there
+    kids_of = {id(owner): members for owner, members in lists}
+    for owner, members in lists[1:]:
         seen_nonplaced = False
         inner_idx = 0
         prev_rho = None
@@ -341,18 +264,66 @@ def check_structure(heap):
                 prev_rho = rho
                 inner_idx += 1
 
+    # active-closure sizes (see check_size_bounds), children first; a
+    # leaf's size is 1
+    sizes = {}
+    for owner, kids in reversed(lists):
+        size = 1
+        i = len(kids) - 1
+        while i >= 0 and kids[i].status == OUTER_MISPLACED:
+            i -= 1
+        if i >= 0 and kids[i].status != OUTER_PLACED:
+            w0 = kids[i]
+            size += sizes.get(id(w0), 1)
+            if i > 0:
+                # w1 is active too unless a gap (rule 1/2) is forced: a
+                # misplaced w1, a placed w1 (rho = -1), or rho0 > rho(w1) + 1
+                u = kids[i - 1]
+                st = u.status
+                if (st != OUTER_MISPLACED and st != OUTER_PLACED
+                        and _rho(w0) <= _rho(u) + 1):
+                    size += sizes.get(id(u), 1)
+        sizes[id(owner)] = size
+
+    # pass 2, per vertex: rank rules, size bound and the recount. The raw
+    # tally counts the status field of every live vertex, roots included,
+    # as the heap's own tally does; an unknown status counts as
+    # noncritical inner.
+    short = {}  # id -> size_bound violation
+    nonroot = [0, 0, 0, 0]  # by status
+    root = [0, 0, 0, 0]
+    rank_sum = 0
+    dangerous = 0
     for v in seen.values():
-        if v.rank < 0:
-            violations.append(Violation("negative_rank", key=v.key,
-                                        rank=v.rank))
+        vid = id(v)
+        r = v.rank
+        rank_sum += r
+        is_root = vid in root_ids
+        st = v.status
+        if not CRITICAL_INNER <= st <= OUTER_MISPLACED:
+            st = NONCRITICAL_INNER
+        if is_root:
+            root[st] += 1
+        else:
+            nonroot[st] += 1
+        kids = kids_of.get(vid, ())
+        if not kids and r == 0:
+            continue  # a leaf of rank 0: size 1, not dangerous, no rule
+        danger = _is_dangerous(v)
+        dangerous += danger
+        size = sizes.get(vid, 1)
+        bound = table[r] if r < len(table) else size_bound_table(r)[r]
+        if size < bound:
+            short[vid] = Violation(
+                "size_bound", key=v.key, rank=r, size=size, bound=bound)
+
+        if r < 0:
+            violations.append(Violation("negative_rank", key=v.key, rank=r))
             continue
-        is_root = id(v) in root_ids
-        kids = kids_of.get(id(v), ())
         inner_count = sum(1 for w in kids if w.status <= CRITICAL_INNER)
-        if v.rank < inner_count:
+        if r < inner_count:
             violations.append(Violation(
-                "rank_budget", key=v.key, rank=v.rank,
-                inner_children=inner_count))
+                "rank_budget", key=v.key, rank=r, inner_children=inner_count))
         # rank consistency against the rules, on the resting forest
         w0 = kids[-1] if kids else None
         if w0 is not None and w0.status == OUTER_MISPLACED:
@@ -360,9 +331,9 @@ def check_structure(heap):
                 "misplaced_rightmost", key=v.key, child_key=w0.key))
             continue
         if w0 is None or w0.status == OUTER_PLACED:
-            if v.rank != 0:
+            if r != 0:
                 violations.append(Violation(
-                    "rank_mismatch", key=v.key, rank=v.rank, expect=0,
+                    "rank_mismatch", key=v.key, rank=r, expect=0,
                     detail="no inner children"))
             continue
         rho0 = _rho(w0)
@@ -380,18 +351,76 @@ def check_structure(heap):
             # rule 2 is pending; tolerated deep in a tree, never at a root
             if is_root:
                 violations.append(Violation(
-                    "rule2_pending_root", key=v.key, rank=v.rank, rho0=rho0))
+                    "rule2_pending_root", key=v.key, rank=r, rho0=rho0))
             continue
         expect = rho0 if gap else rho0 + 1
-        if v.rank != expect:
+        if r != expect:
             violations.append(Violation(
-                "rank_mismatch", key=v.key, rank=v.rank, expect=expect,
+                "rank_mismatch", key=v.key, rank=r, expect=expect,
                 gap=gap, rho0=rho0))
-        if (not is_root and v.status == NONCRITICAL_INNER
-                and _is_dangerous(v)):
+        if not is_root and v.status == NONCRITICAL_INNER and danger:
             violations.append(Violation(
-                "steady_dangerous", key=v.key, rank=v.rank, rho0=rho0))
-    return violations
+                "steady_dangerous", key=v.key, rank=r, rho0=rho0))
+
+    # parents before children; pass 1 found the links sound, so this ends
+    order = iter_vertices(heap) if short else ()
+    undersized = [short[id(v)] for v in order if id(v) in short]
+
+    n = heap.size
+    tau = len(root_ids)
+    critical = nonroot[CRITICAL_INNER]
+    inner = nonroot[NONCRITICAL_INNER] + critical
+    phi2 = 0 if n == 0 else min(tau, plastic_cap(n))
+    phis = (tau, nonroot[OUTER_PLACED], phi2, critical, rank_sum - inner,
+            nonroot[OUTER_MISPLACED], dangerous)
+    # potentials() first; the raw ingredients only when all seven agree,
+    # since phi4 reads the rank sum and the noncritical tally only through
+    # their difference (phi6 is the dangerous-vertex count itself)
+    cached = tuple(heap.potentials())
+    tallies = [Violation("tally_mismatch", phi=i, walked=phis[i],
+                         cached=cached[i])
+               for i in range(7) if phis[i] != cached[i]]
+    if not tallies:
+        fields = [("_rank_sum", rank_sum, heap._rank_sum)] + [
+            ("_stat_tally[%d]" % i, nonroot[i] + root[i], heap._stat_tally[i])
+            for i in range(4)]
+        tallies = [Violation("tally_mismatch", field=f, walked=w, cached=c)
+                   for f, w, c in fields if w != c]
+    return violations, undersized, tallies, phis
+
+
+def compute_potentials(heap):
+    """Recompute phi0..phi6 from scratch by walking the forest.
+
+    Raises ValueError when the walk finds broken links.
+    """
+    links, _, _, phis = _audit(heap)
+    if phis is None:
+        raise ValueError("broken links: " + "; ".join(map(str, links)))
+    return phis
+
+
+def verify_tallies(heap):
+    """Compare the heap's incremental tallies against a fresh walk."""
+    return _audit(heap)[2]
+
+
+def check_structure(heap):
+    """Evaluate every structural invariant; violations are data, not errors.
+
+    Pass 1 checks the doubly linked lists themselves (right chains end at
+    their owner, left links close the cycle, no vertex is shared, every
+    vertex is arena-live, the partition covers exactly heap.size vertices).
+    If pass 1 finds anything, those violations are returned alone — content
+    checks over broken links would be noise.
+
+    Pass 2 checks content: heap order, the placed-prefix layout, strictly
+    increasing inner rho (****), the index bound (***), the rank budget (*),
+    rank consistency against the rank rules, the no-steady-dangerous rule
+    (**), no misplaced rightmost child at rest, and no root left in the
+    rule-2 state (critical rightmost child across a gap).
+    """
+    return _audit(heap)[0]
 
 
 def check_size_bounds(heap, table=None):
@@ -400,37 +429,10 @@ def check_size_bounds(heap, table=None):
     The active children of v are the rule-designated rightmost inner child
     w0 and, when the no-gap rule applies and the left neighbor is inner,
     that neighbor w1.  Misplaced children that have not been swept yet are
-    skipped the same way the seek phase would skip them.
+    skipped the same way the seek phase would skip them.  Violations come
+    parents before children.
     """
-    violations = []
-    if table is None:
-        table = size_bound_table(heap.max_rank_seen + 1)
-    sizes = {}
-    for v in reversed(list(iter_vertices(heap))):  # children first
-        kids = children(v)
-        size = 1
-        i = len(kids) - 1
-        while i >= 0 and kids[i].status == OUTER_MISPLACED:
-            i -= 1
-        if i >= 0 and kids[i].status != OUTER_PLACED:
-            w0 = kids[i]
-            size += sizes[id(w0)]
-            if i > 0:
-                # w1 is active too unless a gap (rule 1/2) is forced: a
-                # misplaced w1, a placed w1 (rho = -1), or rho0 > rho(w1) + 1
-                u = kids[i - 1]
-                st = u.status
-                if (st != OUTER_MISPLACED and st != OUTER_PLACED
-                        and _rho(w0) <= _rho(u) + 1):
-                    size += sizes[id(u)]
-        sizes[id(v)] = size
-        r = v.rank
-        bound = table[r] if r < len(table) else size_bound_table(r)[r]
-        if size < bound:
-            violations.append(Violation(
-                "size_bound", key=v.key, rank=r, size=size, bound=bound))
-    violations.reverse()  # report parents before children
-    return violations
+    return _audit(heap, table)[1]
 
 
 def check_root_safety(heap):
@@ -440,13 +442,10 @@ def check_root_safety(heap):
 
 
 def audit_state(heap):
-    """One-stop state audit: structure, then size bounds and tallies."""
-    violations = check_structure(heap)
-    if violations:
-        return violations
-    violations.extend(check_size_bounds(heap))
-    violations.extend(verify_tallies(heap))
-    return violations
+    """One-stop state audit from one walk: structure, then size bounds and
+    tallies."""
+    structure, undersized, tallies, _ = _audit(heap)
+    return structure or undersized + tallies
 
 
 _LOG_OPS = ("d", "x")

@@ -2,17 +2,18 @@
 and the per-operation amortized budget."""
 
 import random
+import signal
 
 import pytest
 
-from padovanheap import PadovanHeap, plastic_cap
+from padovanheap import FibonacciHeap, PadovanHeap, plastic_cap
 from padovanheap.node_store import (
     NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
 from padovanheap.auditor import (
     CostModel, Violation, audit_amortized, audit_state, check_root_safety,
-    check_size_bounds, check_structure, compute_potentials, size_bound_table,
-    verify_tallies)
-from padovanheap.trace import gen_workload
+    check_size_bounds, check_structure, children, compute_potentials,
+    iter_vertices, size_bound_table, verify_tallies)
+from padovanheap.trace import gen_workload, replay
 
 
 # ------------------------------------------------------------- potentials
@@ -196,6 +197,35 @@ def test_detect_undersized_tree():
     assert vs[0].info["size"] == 4 and vs[0].info["bound"] == 5
 
 
+def test_views_return_on_a_child_link_cycle():
+    # a leaf whose child link points back at the root: every view reads the
+    # bounded walk, which reports the link instead of following the cycle
+    def expire(signum, frame):
+        raise TimeoutError("an audit view did not return")
+
+    views = (check_structure, audit_state, check_size_bounds, verify_tallies)
+    old = signal.signal(signal.SIGALRM, expire)
+    try:
+        for leaf in (2, 4, 6, 8):
+            h, hs = build8()
+            hs[leaf].child = hs[1]
+            for view in views:
+                signal.alarm(3)
+                try:
+                    kinds = {v.kind for v in view(h)}
+                finally:
+                    signal.alarm(0)
+                assert kinds == {"broken_owner_link"}, (leaf, view.__name__)
+            signal.alarm(3)
+            try:
+                with pytest.raises(ValueError, match="broken_owner_link"):
+                    compute_potentials(h)
+            finally:
+                signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_violation_render():
     v = Violation("heap_order", parent_key=3, child_key=2)
     assert v.render() == "kind=heap_order child_key=2 parent_key=3"
@@ -260,6 +290,56 @@ def test_comparisons_only_between_roots():
     h.find_min()
     assert pairs
     assert len(pairs) == h.arena.counters.comparisons
+
+
+def test_comparison_counter_matches_key_comparisons():
+    # every rich comparison of two keys is counted, except decrease_key's
+    # increase guard, which runs once per k event
+    observed = [0]
+
+    class Key:
+        __slots__ = ("value",)
+
+        def __init__(self, value):
+            self.value = value
+
+        def _cmp(self, other, op):
+            observed[0] += 1
+            return op(self.value, other.value)
+
+        def __lt__(self, other):
+            return self._cmp(other, int.__lt__)
+
+        def __le__(self, other):
+            return self._cmp(other, int.__le__)
+
+        def __gt__(self, other):
+            return self._cmp(other, int.__gt__)
+
+        def __ge__(self, other):
+            return self._cmp(other, int.__ge__)
+
+        def __eq__(self, other):
+            return self._cmp(other, int.__eq__)
+
+        def __ne__(self, other):
+            return self._cmp(other, int.__ne__)
+
+    for mode, n, seed in (("random", 20000, 2), ("random", 3000, 7),
+                          ("competition", 3000, 0)):
+        events = gen_workload(mode, n, seed)
+        wrapped = [("i", Key(ev[1])) if ev[0] == "i"
+                   else ("k", ev[1], Key(ev[2])) if ev[0] == "k" else ev
+                   for ev in events]
+        guards = sum(1 for ev in events if ev[0] == "k")
+        for heap in (PadovanHeap(), FibonacciHeap()):
+            observed[0] = 0
+            replay(wrapped, heap, collect_output=False)
+            counted = (heap.arena.counters.comparisons
+                       if isinstance(heap, PadovanHeap)
+                       else heap.counters.comparisons)
+            assert observed[0] == counted + guards, (mode, n, seed,
+                                                     type(heap).__name__)
 
 
 # ------------------------------------------------------- meld accounting
@@ -328,3 +408,116 @@ def test_audit_amortized_insert_charge_is_flat():
     stats = []
     audit_amortized(events, stats_out=stats)
     assert max(charge for _, _, _, _, charge, _ in stats) <= 3
+
+
+# ------------------------------------------- one walk, the same verdicts
+
+def _rho(v):
+    return v.rank + 1 if v.status == CRITICAL_INNER else v.rank
+
+
+def reference_size_bounds(heap):
+    """The size check as its own link-trusting walk, children first:
+    the reference the one-walk audit must match, in order."""
+    table = size_bound_table(heap.max_rank_seen + 1)
+    sizes = {}
+    out = []
+    for v in reversed(list(iter_vertices(heap))):
+        kids = children(v)
+        size = 1
+        i = len(kids) - 1
+        while i >= 0 and kids[i].status == OUTER_MISPLACED:
+            i -= 1
+        if i >= 0 and kids[i].status != OUTER_PLACED:
+            w0 = kids[i]
+            size += sizes[id(w0)]
+            if i > 0:
+                u = kids[i - 1]
+                if (u.status not in (OUTER_MISPLACED, OUTER_PLACED)
+                        and _rho(w0) <= _rho(u) + 1):
+                    size += sizes[id(u)]
+        sizes[id(v)] = size
+        r = v.rank
+        bound = table[r] if r < len(table) else size_bound_table(r)[r]
+        if size < bound:
+            out.append(Violation("size_bound", key=v.key, rank=r,
+                                 size=size, bound=bound))
+    out.reverse()
+    return out
+
+
+def reference_tallies(heap):
+    """(phi0..phi6, tally violations) from a link-trusting recount."""
+    n = heap.size
+    root_ids = {id(r) for r in heap.roots()}
+    nonroot = [0, 0, 0, 0]
+    root = [0, 0, 0, 0]
+    rank_sum = dangerous = 0
+    for v in iter_vertices(heap):
+        rank_sum += v.rank
+        if v.rank != 0 and v.child is not None:
+            w0 = v.child.left
+            dangerous += w0.status <= CRITICAL_INNER and v.rank <= _rho(w0)
+        st = v.status if CRITICAL_INNER <= v.status <= OUTER_MISPLACED else 0
+        (root if id(v) in root_ids else nonroot)[st] += 1
+    tau = len(root_ids)
+    critical = nonroot[CRITICAL_INNER]
+    phis = (tau, nonroot[OUTER_PLACED],
+            0 if n == 0 else min(tau, plastic_cap(n)), critical,
+            rank_sum - nonroot[NONCRITICAL_INNER] - critical,
+            nonroot[OUTER_MISPLACED], dangerous)
+    cached = heap.potentials()
+    out = [Violation("tally_mismatch", phi=i, walked=phis[i],
+                     cached=cached[i])
+           for i in range(7) if phis[i] != cached[i]]
+    if not out:
+        fields = [("_rank_sum", rank_sum, heap._rank_sum)]
+        fields += [("_stat_tally[%d]" % i, root[i] + nonroot[i],
+                    heap._stat_tally[i]) for i in range(4)]
+        out = [Violation("tally_mismatch", field=f, walked=w, cached=c)
+               for f, w, c in fields if w != c]
+    return phis, out
+
+
+def assert_one_walk_matches(h):
+    def render(vs):
+        return [v.render() for v in vs]
+
+    sizes = render(reference_size_bounds(h))
+    phis, tallies = reference_tallies(h)
+    assert render(check_size_bounds(h)) == sizes
+    assert render(verify_tallies(h)) == render(tallies)
+    assert tuple(compute_potentials(h)) == phis
+    want = render(check_structure(h)) or sizes + render(tallies)
+    assert sorted(render(audit_state(h))) == sorted(want)
+
+
+def test_one_walk_audit_matches_separate_walks_on_clean_states():
+    for seed in range(4):
+        h = PadovanHeap()
+        replay(gen_workload("random", 300, seed=seed), h,
+               after=lambda idx, ev: assert_one_walk_matches(h))
+
+
+def test_one_walk_audit_matches_separate_walks_on_corrupted_states():
+    reported = set()
+    for seed in range(240):
+        rng = random.Random(seed)
+        events = gen_workload("random", 300, seed=seed)
+        h = PadovanHeap()
+        replay(events[:rng.randrange(20, len(events))], h)
+        vertices = list(iter_vertices(h))
+        for v in rng.sample(vertices, min(len(vertices), rng.randint(1, 3))):
+            field = rng.choice(("rank", "status", "key"))
+            if field == "rank":
+                v.rank += rng.choice((-2, -1, 1, 2))
+            elif field == "status":
+                v.status = rng.choice([s for s in range(-1, 5)
+                                       if s != v.status])
+            else:
+                v.key += rng.choice((-10**6, -1, 1, 10**6))
+        assert_one_walk_matches(h)
+        reported.update(v.kind for v in check_size_bounds(h))
+        reported.update(v.kind for v in audit_state(h))
+    # the fuzz reaches the size and tally checks, not just the content pass
+    assert {"size_bound", "tally_mismatch", "rank_mismatch"} <= reported
