@@ -94,10 +94,12 @@ class StepCounters:
 class Arena:
     """Allocator + sibling-list moves with counted link writes.
 
-    The heaps move vertices between lists only through the one-call moves
-    below. Each counts the writes of the two-step form of its move, skipped
-    ones too: unlinking costs 1 for a sole member, else 2, plus 2 to reset
-    the vertex to a singleton; inserting costs 2 into an empty list, else 4.
+    Each one-call move below counts the writes of the two-step form of its
+    move, skipped ones too: unlinking costs 1 for a sole member, else 2, plus
+    2 to reset the vertex to a singleton; inserting costs 2 into an empty
+    list, else 4. PadovanHeap.find_min writes its joins and links out inline
+    as join_back and join_front on the root list, counted by this table;
+    every other list move of the heaps is a call to one of these.
 
         alloc           2
         alloc_back      4 into an empty list, else 6

@@ -29,7 +29,10 @@ unchanged), continuing leftward cyclically until one root remains. So no
 dangerous root survives find_min. Neither joins nor links change the
 dangerous-vertex count: a join gives a safe winner a noncritical rightmost
 child of rank r and the rank r + 1, and a link keeps the winner's rank and
-rightmost child, or gives a childless winner a placed one.
+rightmost child, or gives a childless winner a placed one. Each join and
+link is Arena.join_back or join_front written out in place, on the root list
+it already holds, and counts the link writes of Arena's table; every other
+list move goes through an Arena call.
 
 decrease_key cuts the vertex and runs a cascading rank recomputation up the
 parent chain, stopping at the dummy head, at an unchanged rank, or at a
@@ -52,8 +55,9 @@ probes in between would telescope, and they are not made. A rank change
 also moves the parent's test when the vertex is the rightmost child: the
 cascade probes that parent first and carries the probe up as the parent's
 own before-probe, and where the cascade stops, the parent's test is
-unchanged. find_min returns a safe root, so delete_min removes it without a
-probe.
+unchanged. delete_min removes the root find_min would return: a lone safe
+root it takes directly (the state a find_min leaves), any other root list it
+hands to find_min. Either way the root is safe, so it leaves without a probe.
 """
 
 import math
@@ -71,6 +75,7 @@ from .node_store import (
 
 PLASTIC = 1.324717957244746
 _LOG_PLASTIC = math.log(PLASTIC)
+_CONSUMED = "heap was consumed by meld"
 
 
 def plastic_cap(n):
@@ -106,23 +111,31 @@ class PadovanHeap:
         return self._dummy
 
     def roots(self):
-        """Iterate the root list left to right. No mutation while iterating."""
-        d = self._dummy
+        """The root list, left to right, as a new list."""
+        d = self._require_alive()
+        out = []
         v = d.child
         while v is not None and v is not d:
-            yield v
+            out.append(v)
             v = v.right
+        return out
 
     def key_of(self, v):
         self._check_handle(v)
         return v.key
 
     def _require_alive(self):
-        if self._dummy is None:
-            raise StaleHandleError("heap was consumed by meld")
+        """Return the dummy head; a heap consumed by meld has none."""
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
+        return d
 
     def _check_handle(self, v):
-        if v is self._dummy or not self.arena.is_live(v):
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
+        if v is d or not self.arena.is_live(v):
             raise StaleHandleError("dead or foreign handle: %r" % (v,))
 
     def _set_status(self, v, st):
@@ -296,8 +309,10 @@ class PadovanHeap:
     # -- public operations ----------------------------------------------
 
     def insert(self, key):
-        self._require_alive()
-        v = self.arena.alloc_back(self._dummy, key)
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
+        v = self.arena.alloc_back(d, key)
         self._stat_tally[NONCRITICAL_INNER] += 1
         self._size += 1
         return v
@@ -326,19 +341,28 @@ class PadovanHeap:
         return self
 
     def find_min(self):
-        self._require_alive()
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
         if self._size == 0:
             raise EmptyHeapError("find_min on empty heap")
-        d = self._dummy
         x = d.child
-        if x.left is x and not self._is_dangerous(x):
-            return x  # a lone safe root: both phases would spend no step
-        join_back = self.arena.join_back
-        join_front = self.arena.join_front
+        if x.left is x:  # a lone root: both phases spend no step on it if safe
+            r = x.rank
+            c = x.child
+            if not r or c is None:
+                return x
+            w0 = c.left  # the danger test, inlined
+            st = w0.status
+            if not (st == NONCRITICAL_INNER and r <= w0.rank
+                    or st == CRITICAL_INNER and r <= w0.rank + 1):
+                return x
         buckets = self._buckets
         t = self._stat_tally
         top = self.max_rank_seen
-        joins = links = 0  # completed ones; the tallies take them at exit
+        # completed joins and links, and their link writes; the tallies and
+        # counters take them at exit
+        joins = links = writes = 0
         try:
             # phase 1: make roots safe, join equal ranks until ranks are
             # distinct. Joins leave _dangerous alone: both roots are safe (v
@@ -372,7 +396,34 @@ class PadovanHeap:
                         w, loser = occ, w
                     else:
                         loser = occ
-                    join_back(d, w, loser)
+                    # Arena.join_back(d, w, loser), written out: the loser
+                    # shares the root list with w, so it is never sole there
+                    if loser.right is d:  # rightmost
+                        prev = loser.left
+                        prev.right = d
+                        d.child.left = prev
+                    elif loser is d.child:  # leftmost
+                        succ = loser.right
+                        succ.left = loser.left
+                        d.child = succ
+                    else:
+                        prev = loser.left
+                        succ = loser.right
+                        prev.right = succ
+                        succ.left = prev
+                    first = w.child
+                    if first is None:
+                        loser.left = loser
+                        loser.right = w
+                        w.child = loser
+                        writes += 6
+                    else:
+                        last = first.left
+                        last.right = loser
+                        loser.left = last
+                        loser.right = w
+                        first.left = loser
+                        writes += 8
                     t[loser.status] -= 1
                     loser.status = NONCRITICAL_INNER
                     joins += 1
@@ -401,7 +452,33 @@ class PadovanHeap:
                     winner, loser = y, x
                 else:
                     winner, loser = x, y
-                join_front(d, winner, loser)
+                # Arena.join_front(d, winner, loser), written out: at least
+                # two roots remain, so the loser is never sole
+                if loser.right is d:  # rightmost
+                    prev = loser.left
+                    prev.right = d
+                    d.child.left = prev
+                elif loser is d.child:  # leftmost
+                    succ = loser.right
+                    succ.left = loser.left
+                    d.child = succ
+                else:
+                    prev = loser.left
+                    succ = loser.right
+                    prev.right = succ
+                    succ.left = prev
+                first = winner.child
+                if first is None:
+                    loser.left = loser
+                    loser.right = winner
+                    winner.child = loser
+                    writes += 6
+                else:
+                    loser.left = first.left
+                    loser.right = first
+                    first.left = loser
+                    winner.child = loser
+                    writes += 8
                 t[loser.status] -= 1
                 loser.status = OUTER_PLACED
                 links += 1
@@ -412,7 +489,9 @@ class PadovanHeap:
             buckets[:] = [None] * len(buckets)
             raise
         finally:
-            self.arena.counters.comparisons += joins + links
+            counters = self.arena.counters
+            counters.link_writes += writes
+            counters.comparisons += joins + links
             t[NONCRITICAL_INNER] += joins
             t[OUTER_PLACED] += links
             self._rank_sum += joins
@@ -421,16 +500,29 @@ class PadovanHeap:
         return x
 
     def delete_min(self):
-        self._require_alive()
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
         if self._size == 0:
             raise EmptyHeapError("delete_min on empty heap")
-        m = self.find_min()
+        # a lone safe root is the minimum, as find_min would return it
+        m = d.child
+        if m.left is not m:
+            m = self.find_min()
+        else:
+            r = m.rank
+            c = m.child
+            if r and c is not None:  # the danger test, inlined
+                w0 = c.left
+                st = w0.status
+                if (st == NONCRITICAL_INNER and r <= w0.rank
+                        or st == CRITICAL_INNER and r <= w0.rank + 1):
+                    m = self.find_min()
         key = m.key
-        self._remove_root(m)  # find_min returns a safe root: no tally moves
+        self._remove_root(m)  # m is a safe root: no tally moves
         return key
 
     def decrease_key(self, v, new_key):
-        self._require_alive()
         self._check_handle(v)
         if new_key > v.key:
             raise KeyIncreaseError(
@@ -439,7 +531,6 @@ class PadovanHeap:
         v.key = new_key
 
     def delete(self, v):
-        self._require_alive()
         self._check_handle(v)
         self._cut(v)
         # the cut moved neither v's rank nor its children, so v's danger
@@ -467,7 +558,7 @@ class PadovanHeap:
         phi3 critical nonroots; phi4 rank surplus sum(r - c - n) over all
         vertices; phi5 misplaced outer children; phi6 dangerous vertices.
         """
-        d = self._dummy
+        d = self._require_alive()
         tau = 0
         r_n = r_c = r_p = r_m = 0
         v = d.child

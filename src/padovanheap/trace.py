@@ -239,8 +239,8 @@ def replay(events, heap, before=None, after=None, collect_output=True):
 
     A `d` is issued as find_min + delete_min so the replayer learns which
     handle died and can prune its id maps; after the explicit find_min the
-    padovan heap has a single safe root, which delete_min's internal
-    find_min returns at once.
+    padovan heap has a single safe root, which delete_min removes without
+    calling find_min again.
     """
     id2h = {}
     h2id = {}

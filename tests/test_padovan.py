@@ -239,6 +239,21 @@ def test_find_min_repairs_a_lone_dangerous_root():
     audit_clean(h)
 
 
+def test_delete_min_repairs_a_lone_dangerous_root():
+    # the state of the test above, popped with no find_min first: delete_min
+    # must not take the dangerous root as it stands
+    h = PadovanHeap()
+    hs = {k: h.insert(k) for k in (1, 2, 3, 4)}
+    h.find_min()
+    h.delete(hs[2])
+    assert len(check_root_safety(h)) == 1
+    assert h.delete_min() == 1
+    audit_clean(h)
+    # the same as find_min() then delete_min()
+    assert h.arena.counters.snapshot() == (67, 3, 2, 1)
+    assert h.potentials() == (1, 0, 1, 0, 0, 0, 0)
+
+
 def test_find_min_recovers_from_a_raising_comparison():
     # 1 and 2 join into a rank-1 tree that waits in its bucket while 3 meets
     # "x"; that comparison raises, and no bucket entry may outlive it
@@ -248,7 +263,8 @@ def test_find_min_recovers_from_a_raising_comparison():
     x = h.insert("x")
     with pytest.raises(TypeError):
         h.find_min()
-    assert h.arena.counters.comparisons == 1  # the completed join
+    # the completed join, and its 6 link writes on top of the inserts' 24
+    assert h.arena.counters.snapshot() == (30, 1, 0, 0)
     audit_clean(h)
     h.delete(x)
     assert h.find_min().key == 1
@@ -309,6 +325,24 @@ def test_meld_counts_and_consumption():
     # handles from the consumed heap stay valid on the survivor
     h1.decrease_key(hs3[2], 0)
     assert h1.find_min().key == 0
+    audit_clean(h1)
+
+
+def test_consumed_heap_rejects_handles_and_views():
+    h1 = PadovanHeap()
+    h2 = PadovanHeap(h1.arena)
+    h1.insert(1)
+    v = h2.insert(2)
+    h1.meld(h2)
+    for call in (lambda: h2.key_of(v), lambda: h2.decrease_key(v, 0),
+                 lambda: h2.delete(v), h2.roots, h2.potentials,
+                 h2.delete_min):
+        with pytest.raises(StaleHandleError):
+            call()
+    # the handle still belongs to the survivor
+    assert h1.key_of(v) == 2
+    h1.decrease_key(v, 0)
+    assert h1.delete_min() == 0
     audit_clean(h1)
 
 
@@ -419,6 +453,137 @@ def test_rank_stays_logarithmic():
         live = max((r.rank for r in h.roots()), default=0)
         assert live <= plastic_cap(h.size) + 3
     assert h.max_rank_seen <= plastic_cap(4000) + 3
+
+
+# ------------------------------------- inline surgery against Arena calls
+
+class ArenaCallHeap(PadovanHeap):
+    """find_min and delete_min with every join and link made through
+    Arena.join_back and join_front, and delete_min always through find_min:
+    the reference that the heap's inline surgery is checked against."""
+
+    def find_min(self):
+        d = self._require_alive()
+        if self._size == 0:
+            raise EmptyHeapError("find_min on empty heap")
+        x = d.child
+        if x.left is x and not self._is_dangerous(x):
+            return x
+        join_back = self.arena.join_back
+        join_front = self.arena.join_front
+        buckets = self._buckets
+        t = self._stat_tally
+        top = self.max_rank_seen
+        joins = links = 0
+        try:
+            v = x
+            while v is not d:
+                nxt = v.right
+                if self._is_dangerous(v):
+                    self._make_safe(v)
+                r = v.rank
+                w = v
+                while True:
+                    try:
+                        occ = buckets[r]
+                    except IndexError:
+                        buckets.extend([None] * len(buckets))
+                        continue
+                    if occ is None:
+                        buckets[r] = w
+                        break
+                    buckets[r] = None
+                    if occ.key <= w.key:
+                        w, loser = occ, w
+                    else:
+                        loser = occ
+                    join_back(d, w, loser)
+                    t[loser.status] -= 1
+                    loser.status = NONCRITICAL_INNER
+                    joins += 1
+                    r += 1
+                    w.rank = r
+                    if r > top:
+                        top = r
+                v = nxt
+            v = d.child
+            while v is not d:
+                buckets[v.rank] = None
+                v = v.right
+            x = d.child.left
+            while True:
+                y = x.left
+                if y is x:
+                    break
+                if y.key <= x.key:
+                    winner, loser = y, x
+                else:
+                    winner, loser = x, y
+                join_front(d, winner, loser)
+                t[loser.status] -= 1
+                loser.status = OUTER_PLACED
+                links += 1
+                x = winner.left
+        except BaseException:
+            buckets[:] = [None] * len(buckets)
+            raise
+        finally:
+            self.arena.counters.comparisons += joins + links
+            t[NONCRITICAL_INNER] += joins
+            t[OUTER_PLACED] += links
+            self._rank_sum += joins
+            if top > self.max_rank_seen:
+                self.max_rank_seen = top
+        return x
+
+    def delete_min(self):
+        self._require_alive()
+        if self._size == 0:
+            raise EmptyHeapError("delete_min on empty heap")
+        m = self.find_min()
+        key = m.key
+        self._remove_root(m)
+        return key
+
+
+def state_digest(h):
+    """Hash of the step counters, potentials, peak rank and every child
+    list (the root list as the dummy's), with its members' keys, ranks and
+    statuses. The lists are walked as auditor.children walks them."""
+    flat = []
+    stack = [h.dummy]
+    while stack:
+        w = stack.pop().child
+        flat.append(None)  # the next list starts; leaves have none
+        while w is not None:
+            flat += (w.key, w.rank, w.status)
+            if w.child is not None:
+                stack.append(w)
+            if w.right.left is not w:  # rightmost
+                break
+            w = w.right
+    return hash((h.arena.counters.snapshot(), h.potentials(),
+                 h.max_rank_seen, tuple(flat)))
+
+
+@pytest.mark.parametrize("mode, n, seeds", [
+    ("random", 3000, range(1, 9)),
+    ("competition", 2000, [0]),
+    ("ascending", 2000, [0]),
+])
+def test_inline_surgery_matches_arena_calls(mode, n, seeds):
+    for seed in seeds:
+        events = list(iter_workload(mode, n, seed))
+        digests = []
+        ref = ArenaCallHeap()
+        ref_out = replay(events, ref,
+                         after=lambda i, ev: digests.append(state_digest(ref)))
+        h = PadovanHeap()
+
+        def same_state(i, ev):
+            assert state_digest(h) == digests[i], (seed, i, ev)
+
+        assert replay(events, h, after=same_state) == ref_out
 
 
 # ---------------------------------------------------- frozen step counts
