@@ -38,7 +38,7 @@ class FibonacciHeap:
     def __init__(self):
         self._min = None
         self._size = 0
-        self._live = set()
+        self._live = set()  # the live FibNodes themselves
         self._consumed = False
         self.counters = StepCounters()
         self.max_degree_seen = 0
@@ -60,7 +60,7 @@ class FibonacciHeap:
             raise StaleHandleError("heap was consumed by meld")
 
     def _check_handle(self, v):
-        if id(v) not in self._live:
+        if not isinstance(v, FibNode) or v not in self._live:
             raise StaleHandleError("dead or foreign handle: %r" % (v,))
 
     # -- degree histogram ----------------------------------------------
@@ -124,7 +124,7 @@ class FibonacciHeap:
         self._require_alive()
         v = FibNode(key)
         self.counters.link_writes += 2  # left=self, right=self
-        self._live.add(id(v))
+        self._live.add(v)
         self._hist_inc(0)
         if self._min is None:
             self._min = v
@@ -163,7 +163,7 @@ class FibonacciHeap:
             m.child = None
             c.link_writes += 1
             self._ring_concat(m, child)
-        self._live.discard(id(m))
+        self._live.discard(m)
         self._hist_dec(m.degree)
         self._size -= 1
         if m.right is m:

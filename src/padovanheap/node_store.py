@@ -16,8 +16,10 @@ positions, all without a parent pointer:
 The end tests are sound because an owner's own `left` link lives in a
 disjoint list (or is the owner itself, for the self-linked dummy head).
 
-The arena tracks the live vertex set (so stale handles are detectable) and
-owns the shared step counters that every heap built on it reports into.
+The arena keeps the set of live nodes themselves, not their ids (so stale
+handles are detectable; a membership test must first check that the handle
+is a Node, as is_live does), and owns the shared step counters that every
+heap built on it reports into.
 """
 
 NONCRITICAL_INNER = 0
@@ -97,9 +99,15 @@ class Arena:
     Each one-call move below counts the writes of the two-step form of its
     move, skipped ones too: unlinking costs 1 for a sole member, else 2, plus
     2 to reset the vertex to a singleton; inserting costs 2 into an empty
-    list, else 4. PadovanHeap.find_min writes its joins and links out inline
-    as join_back and join_front on the root list, counted by this table;
-    every other list move of the heaps is a call to one of these.
+    list, else 4.
+
+    PadovanHeap writes its hot moves out inline and counts them by this
+    table: find_min's joins and links (join_back and join_front on the root
+    list), insert's alloc_back, _cut's join_back onto the root list, and
+    _remove_root's detach_promote and free. It calls move_front to place a
+    child, and alloc, concat and free to make and meld heaps. The one-call
+    forms stay as the counted reference that the inline copies are tested
+    against.
 
         alloc           2
         alloc_back      4 into an empty list, else 6
@@ -121,13 +129,13 @@ class Arena:
 
     def alloc(self, key):
         v = Node(key)
-        self._live.add(id(v))
+        self._live.add(v)
         self.counters.link_writes += 2  # left=self, right=self
         return v
 
     def free(self, v):
-        assert id(v) in self._live, "double free / foreign node"
-        self._live.discard(id(v))
+        assert v in self._live, "double free / foreign node"
+        self._live.discard(v)
         # scrub links so a stale handle dereference fails fast; not counted
         # as work (deallocation bookkeeping, not algorithmic link surgery)
         v.left = None
@@ -135,7 +143,7 @@ class Arena:
         v.child = None
 
     def is_live(self, v):
-        return isinstance(v, Node) and id(v) in self._live
+        return isinstance(v, Node) and v in self._live
 
     # -- sibling-list moves: each keeps the module docstring's invariants --
 
@@ -143,7 +151,7 @@ class Arena:
         """Allocate a vertex for key as the new rightmost member of owner's
         list; returns it. 4 writes into an empty list, 6 otherwise."""
         v = Node(key)
-        self._live.add(id(v))
+        self._live.add(v)
         first = owner.child
         if first is None:
             v.right = owner

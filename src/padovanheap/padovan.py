@@ -22,17 +22,15 @@ on it. Otherwise it runs in two phases. Phase 1 walks the root list left to
 right, makes each root safe, and bucket-inserts it by rank, joining
 equal-rank pairs (loser becomes the winner's rightmost noncritical inner
 child, winner rank +1) until the bucket is free; surviving roots have
-pairwise distinct ranks, and exactly their buckets are cleared afterwards.
-Phase 2 repeatedly links the last root with the second last (loser pushed
-to the front of the winner's children as an outer placed child, ranks
-unchanged), continuing leftward cyclically until one root remains. So no
-dangerous root survives find_min. Neither joins nor links change the
-dangerous-vertex count: a join gives a safe winner a noncritical rightmost
-child of rank r and the rank r + 1, and a link keeps the winner's rank and
-rightmost child, or gives a childless winner a placed one. Each join and
-link is Arena.join_back or join_front written out in place, on the root list
-it already holds, and counts the link writes of Arena's table; every other
-list move goes through an Arena call.
+pairwise distinct ranks and occupy exactly their own buckets. Phase 2
+repeatedly links the last root with the second last (loser pushed to the
+front of the winner's children as an outer placed child, ranks unchanged),
+continuing leftward cyclically until one root remains, and clears each
+loser's bucket and at the end the last root's. So no dangerous root
+survives find_min. Neither joins nor links change the dangerous-vertex
+count: a join gives a safe winner a noncritical rightmost child of rank r
+and the rank r + 1, and a link keeps the winner's rank and rightmost child,
+or gives a childless winner a placed one.
 
 decrease_key cuts the vertex and runs a cascading rank recomputation up the
 parent chain, stopping at the dummy head, at an unchanged rank, or at a
@@ -58,6 +56,15 @@ own before-probe, and where the cascade stops, the parent's test is
 unchanged. delete_min removes the root find_min would return: a lone safe
 root it takes directly (the state a find_min leaves), any other root list it
 hands to find_min. Either way the root is safe, so it leaves without a probe.
+
+The hot list moves and probes are written out in the operation that makes
+them, so that each op's common case runs in one Python frame: find_min's
+joins and links (Arena.join_back and join_front on the root list), insert's
+Arena.alloc_back, _cut's Arena.position_probe, danger probes and join_back
+onto the root list, _remove_root's Arena.detach_promote and Arena.free, and
+the handle check (Arena.is_live) of key_of, decrease_key and delete. Each
+counts the link writes of Arena's table. Placing a child (Arena.move_front),
+the rank rules and make_safe stay calls.
 """
 
 import math
@@ -66,9 +73,8 @@ from .errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from .node_store import (
     Arena,
     CRITICAL_INNER,
-    LAST,
     NONCRITICAL_INNER,
-    NOT_LAST_TWO,
+    Node,
     OUTER_MISPLACED,
     OUTER_PLACED,
 )
@@ -76,6 +82,7 @@ from .node_store import (
 PLASTIC = 1.324717957244746
 _LOG_PLASTIC = math.log(PLASTIC)
 _CONSUMED = "heap was consumed by meld"
+_STALE = "dead or foreign handle: %r"
 
 
 def plastic_cap(n):
@@ -121,7 +128,12 @@ class PadovanHeap:
         return out
 
     def key_of(self, v):
-        self._check_handle(v)
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
+        # Arena.is_live(v), written out
+        if v is d or not isinstance(v, Node) or v not in self.arena._live:
+            raise StaleHandleError(_STALE % (v,))
         return v.key
 
     def _require_alive(self):
@@ -130,13 +142,6 @@ class PadovanHeap:
         if d is None:
             raise StaleHandleError(_CONSUMED)
         return d
-
-    def _check_handle(self, v):
-        d = self._dummy
-        if d is None:
-            raise StaleHandleError(_CONSUMED)
-        if v is d or not self.arena.is_live(v):
-            raise StaleHandleError("dead or foreign handle: %r" % (v,))
 
     def _set_status(self, v, st):
         t = self._stat_tally
@@ -236,43 +241,104 @@ class PadovanHeap:
         A vertex's danger test reads only its rank, its rightmost child and
         that child's rho, so the tally of each vertex the cascade changes is
         settled by one probe before its first change and one after its last;
-        the deltas of any probes in between would telescope.
+        the deltas of any probes in between would telescope. Each probe is
+        the danger test written out. A probed vertex of nonzero rank has a
+        child: it is v's or p's parent, or a p that _recompute_rank would
+        have left at rank 0 without one. So the probe reads its child link
+        without a None test.
         """
-        a = self.arena
         d = self._dummy
-        dang = self._is_dangerous
-        code, p = a.position_probe(v)
-        if code == NOT_LAST_TWO:
-            # both neighbors are list members; the owner stays unknown and
-            # its rank update is deferred (covered by the rank-surplus
-            # potential). v cannot be a rightmost child here, so no parent's
-            # danger status changes either.
-            a.join_back(None, d, v)
+        nxt = v.right
+        prev = v.left
+        # Arena.position_probe(v), written out
+        if nxt.right.left.left is v:
+            # not among the last two: both neighbors are list members; the
+            # owner stays unknown and its rank update is deferred (covered
+            # by the rank-surplus potential). v cannot be a rightmost child
+            # here, so no parent's danger status changes either.
+            p = None
+        else:
+            p = nxt if nxt.left is not v else nxt.right  # last : second last
+            if p.right is p:
+                return  # v is a root already
+            r = p.rank  # before the move: p loses a child
+            if r:
+                w0 = p.child.left
+                st = w0.status
+                p_pre = (st == NONCRITICAL_INNER and r <= w0.rank
+                         or st == CRITICAL_INNER and r <= w0.rank + 1)
+            else:
+                p_pre = False
+        # Arena.join_back(p, d, v), written out: 3 writes to unlink a sole
+        # member, else 4, and 4 to append. The root list keeps v's tree
+        # root, or other roots besides v, so it is never empty.
+        if p is nxt:  # rightmost
+            if prev is v:  # sole member
+                p.child = None
+                writes = 7
+            else:
+                prev.right = p
+                p.child.left = prev
+                writes = 8
+        else:
+            if prev.right is not v:  # leftmost: prev is the rightmost member
+                nxt.left = prev
+                prev.right.child = nxt
+            else:
+                prev.right = nxt
+                nxt.left = prev
+            writes = 8
+        first = d.child
+        last = first.left
+        last.right = v
+        v.left = last
+        v.right = d
+        first.left = v
+        self.arena.counters.link_writes += writes
+        if p is None:
             return
-        if p.right is p:
-            return  # v is a root already
-        p_pre = dang(p)  # before the move: p loses a child
-        a.join_back(p, d, v)
         while True:
             old = p.rank
-            code, g = a.position_probe(p)
-            # p's rank is about to change; when p is the rightmost child of
-            # a real parent, that parent's danger test reads rho(p), so its
-            # state before this iteration is probed now, for the next one.
-            watch = code == LAST and g.right is not g
-            if watch:
-                g_pre = dang(g)
-            delta = old - self._recompute_rank(p)
+            # Arena.position_probe(p), written out. p's rank is about to
+            # change; when p is the rightmost child of a real parent, that
+            # parent's danger test reads rho(p), so its state before this
+            # iteration is probed now, for the next one.
+            nxt = p.right
+            g_pre = None
+            if nxt.right.left.left is p:
+                g = None  # not among the last two
+            elif nxt.left is p:
+                g = nxt.right  # second last
+            else:
+                # last: g is a real parent, since v is the last root now
+                # and every later p is a nonroot
+                g = nxt
+                r = g.rank
+                if r:
+                    w0 = g.child.left
+                    st = w0.status
+                    g_pre = (st == NONCRITICAL_INNER and r <= w0.rank
+                             or st == CRITICAL_INNER and r <= w0.rank + 1)
+                else:
+                    g_pre = False
+            r = self._recompute_rank(p)
+            delta = old - r
             assert delta >= 0, "rank increased during cascade"
             # p's own test is settled: what follows moves p or changes its
             # status, which only its parent's test reads
-            p_post = dang(p)
+            if r:
+                w0 = p.child.left
+                st = w0.status
+                p_post = (st == NONCRITICAL_INNER and r <= w0.rank
+                          or st == CRITICAL_INNER and r <= w0.rank + 1)
+            else:
+                p_post = False
             if p_post != p_pre:
                 self._dangerous += 1 if p_post else -1
             stop = True
             if delta == 0:
                 pass
-            elif code == NOT_LAST_TWO:
+            elif g is None:
                 # the parent is unreachable in O(1): adjust p's status in
                 # place and stop. If p happens to be a root this scribbles a
                 # meaningless status byte, which every consumer ignores.
@@ -303,7 +369,16 @@ class PadovanHeap:
                 return
             # climb: g's state before this iteration is its pre-probe; a
             # second-last p cannot have moved g's test, so probe it now
-            p_pre = g_pre if watch else dang(g)
+            if g_pre is None:
+                r = g.rank
+                if r:
+                    w0 = g.child.left
+                    st = w0.status
+                    g_pre = (st == NONCRITICAL_INNER and r <= w0.rank
+                             or st == CRITICAL_INNER and r <= w0.rank + 1)
+                else:
+                    g_pre = False
+            p_pre = g_pre
             p = g
 
     # -- public operations ----------------------------------------------
@@ -312,7 +387,22 @@ class PadovanHeap:
         d = self._dummy
         if d is None:
             raise StaleHandleError(_CONSUMED)
-        v = self.arena.alloc_back(d, key)
+        # Arena.alloc_back(d, key), written out
+        a = self.arena
+        v = Node(key)
+        a._live.add(v)
+        first = d.child
+        if first is None:
+            v.right = d
+            d.child = v
+            a.counters.link_writes += 4
+        else:
+            last = first.left
+            last.right = v
+            v.left = last
+            v.right = d
+            first.left = v
+            a.counters.link_writes += 6
         self._stat_tally[NONCRITICAL_INNER] += 1
         self._size += 1
         return v
@@ -432,17 +522,14 @@ class PadovanHeap:
                     if r > top:
                         top = r
                 v = nxt
-            # cleanup: survivors occupy exactly their own buckets
-            v = d.child
-            while v is not d:
-                buckets[v.rank] = None
-                v = v.right
 
             # phase 2: link last with second last, moving leftward
             # cyclically. Links leave _dangerous alone: pushing to the front
             # keeps the winner's rank and rightmost child, and a winner
             # without children gets a placed child, which cannot make it
-            # dangerous.
+            # dangerous. Survivors occupy exactly their own buckets, and
+            # links change no rank, so each loser's bucket is cleared as it
+            # leaves the root list, and the last root's at the end.
             x = d.child.left
             while True:
                 y = x.left
@@ -479,10 +566,12 @@ class PadovanHeap:
                     first.left = loser
                     winner.child = loser
                     writes += 8
+                buckets[loser.rank] = None
                 t[loser.status] -= 1
                 loser.status = OUTER_PLACED
                 links += 1
                 x = winner.left
+            buckets[x.rank] = None
         except BaseException:
             # a key comparison raised: drop the bucket entries, which the
             # next find_min would otherwise join against
@@ -523,7 +612,12 @@ class PadovanHeap:
         return key
 
     def decrease_key(self, v, new_key):
-        self._check_handle(v)
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
+        # Arena.is_live(v), written out
+        if v is d or not isinstance(v, Node) or v not in self.arena._live:
+            raise StaleHandleError(_STALE % (v,))
         if new_key > v.key:
             raise KeyIncreaseError(
                 "decrease_key %r -> %r is an increase" % (v.key, new_key))
@@ -531,7 +625,12 @@ class PadovanHeap:
         v.key = new_key
 
     def delete(self, v):
-        self._check_handle(v)
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
+        # Arena.is_live(v), written out
+        if v is d or not isinstance(v, Node) or v not in self.arena._live:
+            raise StaleHandleError(_STALE % (v,))
         self._cut(v)
         # the cut moved neither v's rank nor its children, so v's danger
         # state is still counted and leaves with it
@@ -540,14 +639,53 @@ class PadovanHeap:
         self._remove_root(v)
 
     def _remove_root(self, m):
-        """Free root m; the caller has taken m off the danger tally."""
+        """Free root m; the caller has taken m off the danger tally.
+
+        Arena.detach_promote(d, m) and Arena.free(m), written out: m's
+        children become roots at the right end, in order, in O(1).
+        """
+        d = self._dummy
         a = self.arena
-        # children become roots at the right end, O(1)
-        a.detach_promote(self._dummy, m)
+        kid = m.child
+        prev = m.left
+        if prev is m:  # the sole root: its children, if any, replace it
+            d.child = kid
+            if kid is None:
+                writes = 3
+            else:
+                kid.left.right = d
+                writes = 6
+        else:
+            nxt = m.right
+            if nxt is d:  # rightmost
+                prev.right = d
+                d.child.left = prev
+            elif m is d.child:  # leftmost
+                nxt.left = prev
+                d.child = nxt
+            else:
+                prev.right = nxt
+                nxt.left = prev
+            if kid is None:
+                writes = 4
+            else:
+                first = d.child
+                last = first.left
+                k_last = kid.left
+                last.right = kid
+                kid.left = last
+                k_last.right = d
+                first.left = k_last
+                writes = 9
+        live = a._live
+        assert m in live, "double free / foreign node"
+        live.discard(m)
+        # scrub links so a stale handle dereference fails fast; not counted
+        m.left = m.right = m.child = None
+        a.counters.link_writes += writes
         self._stat_tally[m.status] -= 1
         self._rank_sum -= m.rank
         self._size -= 1
-        a.free(m)
 
     # -- potentials -------------------------------------------------------
 

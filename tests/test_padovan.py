@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from padovanheap import PadovanHeap, Oracle, plastic_cap, STATUS_NAMES
+from padovanheap import (
+    FibonacciHeap, PadovanHeap, Oracle, plastic_cap, STATUS_NAMES)
 from padovanheap.node_store import (
-    NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
+    Arena, NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED,
+    LAST, NOT_LAST_TWO)
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from padovanheap.auditor import audit_state, check_root_safety, children
 from padovanheap.trace import iter_workload, replay
@@ -379,6 +381,67 @@ def test_stale_handle_after_delete_min():
         h.delete(v)
 
 
+# ------------------------------------------- handle checks of both heaps
+
+def heap_digest(h):
+    """state_digest for a PadovanHeap; for a FibonacciHeap, a hash of its
+    counters, size and every ring, with keys, degrees and marks."""
+    if isinstance(h, PadovanHeap):
+        return state_digest(h)
+
+    def ring(start):
+        out = []
+        x = start
+        while x is not None:
+            out.append((x.key, x.degree, x.marked, ring(x.child)))
+            x = x.right
+            if x is start:
+                break
+        return tuple(out)
+
+    return hash((h.counters.snapshot(), h.size, ring(h._min)))
+
+
+def handle_calls(h, v):
+    return (lambda: h.key_of(v), lambda: h.decrease_key(v, -1),
+            lambda: h.delete(v))
+
+
+@pytest.mark.parametrize("cls", [PadovanHeap, FibonacciHeap])
+def test_non_node_handles_are_stale(cls):
+    h = cls()
+    for k in range(1, 9):
+        h.insert(k)
+    h.delete_min()
+    before = heap_digest(h)
+    for junk in ([], "x", None):
+        for call in handle_calls(h, junk):
+            with pytest.raises(StaleHandleError):
+                call()
+    assert heap_digest(h) == before
+    assert Arena().is_live([]) is False
+
+
+@pytest.mark.parametrize("cls", [PadovanHeap, FibonacciHeap])
+def test_handles_of_another_heap_are_rejected(cls):
+    """Each heap has its own arena (padovan) or live set (fibonacci), so a
+    live handle of the other is foreign, root or not."""
+    a, b = cls(), cls()
+    for k in range(1, 9):
+        a.insert(k)
+    hb = [b.insert(k) for k in range(10, 18)]
+    a.delete_min()
+    b.delete_min()  # both heaps now hold trees, so hb has non-root handles
+    before = (heap_digest(a), heap_digest(b))
+    for v in hb[1:]:
+        for call in handle_calls(a, v):
+            with pytest.raises(StaleHandleError):
+                call()
+    assert (heap_digest(a), heap_digest(b)) == before
+    assert [a.delete_min() for _ in range(7)] == list(range(2, 9))
+    assert [b.delete_min() for _ in range(7)] == list(range(11, 18))
+
+
 # ------------------------------------------------- randomized differential
 
 def run_differential(seed, n_ops, audit_every=1):
@@ -458,9 +521,101 @@ def test_rank_stays_logarithmic():
 # ------------------------------------- inline surgery against Arena calls
 
 class ArenaCallHeap(PadovanHeap):
-    """find_min and delete_min with every join and link made through
-    Arena.join_back and join_front, and delete_min always through find_min:
-    the reference that the heap's inline surgery is checked against."""
+    """Every list move and probe made through an Arena call: find_min's
+    joins and links through Arena.join_back and join_front, with the bucket
+    cleanup walk after phase 1; delete_min always through find_min; insert
+    through Arena.alloc_back; _cut through Arena.position_probe,
+    _is_dangerous and Arena.join_back; _remove_root through
+    Arena.detach_promote and Arena.free; and the handle checks through
+    Arena.is_live. The reference that the heap's inline surgery is checked
+    against."""
+
+    def _check_handle(self, v):
+        d = self._require_alive()
+        if v is d or not self.arena.is_live(v):
+            raise StaleHandleError("dead or foreign handle: %r" % (v,))
+
+    def key_of(self, v):
+        self._check_handle(v)
+        return v.key
+
+    def insert(self, key):
+        d = self._require_alive()
+        v = self.arena.alloc_back(d, key)
+        self._stat_tally[NONCRITICAL_INNER] += 1
+        self._size += 1
+        return v
+
+    def decrease_key(self, v, new_key):
+        self._check_handle(v)
+        if new_key > v.key:
+            raise KeyIncreaseError(
+                "decrease_key %r -> %r is an increase" % (v.key, new_key))
+        self._cut(v)
+        v.key = new_key
+
+    def delete(self, v):
+        self._check_handle(v)
+        self._cut(v)
+        if self._is_dangerous(v):
+            self._dangerous -= 1
+        self._remove_root(v)
+
+    def _remove_root(self, m):
+        a = self.arena
+        a.detach_promote(self._dummy, m)
+        self._stat_tally[m.status] -= 1
+        self._rank_sum -= m.rank
+        self._size -= 1
+        a.free(m)
+
+    def _cut(self, v):
+        a = self.arena
+        d = self._dummy
+        dang = self._is_dangerous
+        code, p = a.position_probe(v)
+        if code == NOT_LAST_TWO:
+            a.join_back(None, d, v)
+            return
+        if p.right is p:
+            return
+        p_pre = dang(p)
+        a.join_back(p, d, v)
+        while True:
+            old = p.rank
+            code, g = a.position_probe(p)
+            watch = code == LAST and g.right is not g
+            if watch:
+                g_pre = dang(g)
+            delta = old - self._recompute_rank(p)
+            assert delta >= 0, "rank increased during cascade"
+            p_post = dang(p)
+            if p_post != p_pre:
+                self._dangerous += 1 if p_post else -1
+            stop = True
+            if delta == 0:
+                pass
+            elif code == NOT_LAST_TWO:
+                st = p.status
+                if st == NONCRITICAL_INNER:
+                    self._set_status(
+                        p, CRITICAL_INNER if delta == 1 else OUTER_MISPLACED)
+                elif st == CRITICAL_INNER:
+                    self._set_status(p, OUTER_MISPLACED)
+            elif g.right is g:
+                pass
+            else:
+                st = p.status
+                if st == NONCRITICAL_INNER and delta == 1:
+                    self._set_status(p, CRITICAL_INNER)
+                    stop = False
+                elif st == NONCRITICAL_INNER or st == CRITICAL_INNER:
+                    self._place(g, p)
+                    stop = False
+            if stop:
+                return
+            p_pre = g_pre if watch else dang(g)
+            p = g
 
     def find_min(self):
         d = self._require_alive()
@@ -547,9 +702,10 @@ class ArenaCallHeap(PadovanHeap):
 
 
 def state_digest(h):
-    """Hash of the step counters, potentials, peak rank and every child
-    list (the root list as the dummy's), with its members' keys, ranks and
-    statuses. The lists are walked as auditor.children walks them."""
+    """Hash of the step counters, potentials, peak rank, live-node count and
+    every child list (the root list as the dummy's), with its members' keys,
+    ranks and statuses. The lists are walked as auditor.children walks
+    them."""
     flat = []
     stack = [h.dummy]
     while stack:
@@ -563,7 +719,7 @@ def state_digest(h):
                 break
             w = w.right
     return hash((h.arena.counters.snapshot(), h.potentials(),
-                 h.max_rank_seen, tuple(flat)))
+                 h.max_rank_seen, len(h.arena._live), tuple(flat)))
 
 
 @pytest.mark.parametrize("mode, n, seeds", [
