@@ -34,6 +34,7 @@ from .node_store import (
     CRITICAL_INNER,
     OUTER_PLACED,
     OUTER_MISPLACED,
+    Node,
 )
 from .padovan import PLASTIC, PadovanHeap, plastic_cap
 from .trace import replay
@@ -160,13 +161,16 @@ def _walk(heap):
 
     No child list is followed for more than heap.size + 1 hops, and a
     broken list is not descended into, so corrupted links cannot hang the
-    auditor. Returns (violations, seen, lists, root_ids): seen maps id to
-    vertex, and lists holds (owner, members) in discovery order, the root
-    list first, so reversed(lists) is children first. Best-effort when
-    violations is non-empty.
+    auditor. Returns (violations, seen, lists): seen holds every vertex
+    reached, keyed by the vertex itself in discovery order (a vertex that
+    is not a live Node is keyed by its id, so any object can be reported),
+    and lists holds (owner, members) in discovery order, the root list
+    first, so reversed(lists) is children first. Best-effort when
+    violations is non-empty. Raises StaleHandleError on a heap consumed by
+    meld.
     """
-    is_live = heap.arena.is_live
-    d = heap.dummy
+    live = heap.arena._live
+    d = heap._require_alive()
     cap = heap.size + 1
     violations = []
     seen = {}
@@ -199,19 +203,24 @@ def _walk(heap):
                 violations.append(Violation(
                     "broken_left_cycle", owner_key=owner.key, child_key=v.key))
             prev = v
-            if id(v) in seen:
-                violations.append(Violation("shared_vertex", key=v.key))
-                continue
-            if not is_live(v):
+            # Arena.is_live(v), written out; a Node hashes by identity
+            if isinstance(v, Node) and v in live:
+                if v in seen:
+                    violations.append(Violation("shared_vertex", key=v.key))
+                    continue
+                seen[v] = None
+            else:
+                if id(v) in seen:
+                    violations.append(Violation("shared_vertex", key=v.key))
+                    continue
                 violations.append(Violation("dead_vertex", key=v.key))
-            seen[id(v)] = v
+                seen[id(v)] = None
             if v.child is not None:
                 stack.append(v)
     if not violations and len(seen) != heap.size:
         violations.append(Violation(
             "size_mismatch", reachable=len(seen), recorded=heap.size))
-    root_ids = {id(r) for r in lists[0][1]} if lists else set()
-    return violations, seen, lists, root_ids
+    return violations, seen, lists
 
 
 def _audit(heap, table=None):
@@ -220,49 +229,63 @@ def _audit(heap, table=None):
     Returns (structure, undersized, tallies, phis): the violations of
     check_structure's pass 2, check_size_bounds and verify_tallies, and
     phi0..phi6 recounted. When pass 1 finds anything, its violations
-    stand in for each of the three lists and phis is None.
+    stand in for each of the three lists and phis is None. Past pass 1
+    every vertex is a live Node, so the child lists, sizes, inner-child
+    counts and root set are keyed by the vertex itself; each owner's
+    inner-child count comes from the content pass, and the per-vertex
+    pass writes rho and the danger test out.
     """
-    links, seen, lists, root_ids = _walk(heap)
+    links, seen, lists = _walk(heap)
     if links:
         return links, links, links, None
     if table is None:
         table = size_bound_table(heap.max_rank_seen + 1)
     violations = []
+    kids_of = dict(lists)
+    roots = set(lists[0][1]) if lists else set()
 
     # pass 2, per child list; the root list, lists[0], is skipped, since
-    # statuses and order are meaningless there
-    kids_of = {id(owner): members for owner, members in lists}
+    # statuses and order are meaningless there. Each owner's inner-child
+    # count (status <= CRITICAL_INNER, a negative status too) is taken
+    # here for the rank budget below.
+    inner_of = {}
     for owner, members in lists[1:]:
+        okey = owner.key
         seen_nonplaced = False
+        inner = 0
         inner_idx = 0
         prev_rho = None
         for v in members:
-            if not (NONCRITICAL_INNER <= v.status <= OUTER_MISPLACED):
+            st = v.status
+            if st <= CRITICAL_INNER:
+                inner += 1
+            if not (NONCRITICAL_INNER <= st <= OUTER_MISPLACED):
                 violations.append(Violation(
-                    "bad_status", key=v.key, status=v.status))
+                    "bad_status", key=v.key, status=st))
                 continue
-            if v.key < owner.key:
+            if v.key < okey:
                 violations.append(Violation(
-                    "heap_order", parent_key=owner.key, child_key=v.key))
-            if v.status == OUTER_PLACED:
+                    "heap_order", parent_key=okey, child_key=v.key))
+            if st == OUTER_PLACED:
                 if seen_nonplaced:
                     violations.append(Violation(
-                        "layout", parent_key=owner.key, child_key=v.key,
+                        "layout", parent_key=okey, child_key=v.key,
                         detail="placed child after the placed prefix"))
             else:
                 seen_nonplaced = True
-            if v.status <= CRITICAL_INNER:
-                rho = _rho(v)
+            if st <= CRITICAL_INNER:
+                rho = v.rank + 1 if st == CRITICAL_INNER else v.rank
                 if rho < inner_idx:
                     violations.append(Violation(
-                        "index_bound", parent_key=owner.key, child_key=v.key,
+                        "index_bound", parent_key=okey, child_key=v.key,
                         inner_index=inner_idx, rho=rho))
                 if prev_rho is not None and rho < prev_rho + 1:
                     violations.append(Violation(
-                        "inner_order", parent_key=owner.key, child_key=v.key,
+                        "inner_order", parent_key=okey, child_key=v.key,
                         prev_rho=prev_rho, rho=rho))
                 prev_rho = rho
                 inner_idx += 1
+        inner_of[owner] = inner
 
     # active-closure sizes (see check_size_bounds), children first; a
     # leaf's size is 1
@@ -274,7 +297,7 @@ def _audit(heap, table=None):
             i -= 1
         if i >= 0 and kids[i].status != OUTER_PLACED:
             w0 = kids[i]
-            size += sizes.get(id(w0), 1)
+            size += sizes.get(w0, 1)
             if i > 0:
                 # w1 is active too unless a gap (rule 1/2) is forced: a
                 # misplaced w1, a placed w1 (rho = -1), or rho0 > rho(w1) + 1
@@ -282,23 +305,23 @@ def _audit(heap, table=None):
                 st = u.status
                 if (st != OUTER_MISPLACED and st != OUTER_PLACED
                         and _rho(w0) <= _rho(u) + 1):
-                    size += sizes.get(id(u), 1)
-        sizes[id(owner)] = size
+                    size += sizes.get(u, 1)
+        sizes[owner] = size
 
     # pass 2, per vertex: rank rules, size bound and the recount. The raw
     # tally counts the status field of every live vertex, roots included,
     # as the heap's own tally does; an unknown status counts as
-    # noncritical inner.
-    short = {}  # id -> size_bound violation
+    # noncritical inner. rho and _is_dangerous (a nonzero rank, an inner
+    # rightmost child w0 and r_v <= rho(w0)) are written out.
+    short = {}  # vertex -> size_bound violation
     nonroot = [0, 0, 0, 0]  # by status
     root = [0, 0, 0, 0]
     rank_sum = 0
     dangerous = 0
-    for v in seen.values():
-        vid = id(v)
+    for v in seen:
         r = v.rank
         rank_sum += r
-        is_root = vid in root_ids
+        is_root = v in roots
         st = v.status
         if not CRITICAL_INNER <= st <= OUTER_MISPLACED:
             st = NONCRITICAL_INNER
@@ -306,48 +329,56 @@ def _audit(heap, table=None):
             root[st] += 1
         else:
             nonroot[st] += 1
-        kids = kids_of.get(vid, ())
-        if not kids and r == 0:
-            continue  # a leaf of rank 0: size 1, not dangerous, no rule
-        danger = _is_dangerous(v)
-        dangerous += danger
-        size = sizes.get(vid, 1)
+        kids = kids_of.get(v)
+        if kids is None:
+            if r == 0:
+                continue  # a leaf of rank 0: size 1, not dangerous, no rule
+            danger = False
+            size = 1
+        else:
+            w0 = kids[-1]
+            st0 = w0.status
+            rho0 = w0.rank + 1 if st0 == CRITICAL_INNER else w0.rank
+            danger = r != 0 and st0 <= CRITICAL_INNER and r <= rho0
+            dangerous += danger
+            size = sizes[v]
         bound = table[r] if r < len(table) else size_bound_table(r)[r]
         if size < bound:
-            short[vid] = Violation(
+            short[v] = Violation(
                 "size_bound", key=v.key, rank=r, size=size, bound=bound)
 
         if r < 0:
             violations.append(Violation("negative_rank", key=v.key, rank=r))
             continue
-        inner_count = sum(1 for w in kids if w.status <= CRITICAL_INNER)
-        if r < inner_count:
-            violations.append(Violation(
-                "rank_budget", key=v.key, rank=r, inner_children=inner_count))
-        # rank consistency against the rules, on the resting forest
-        w0 = kids[-1] if kids else None
-        if w0 is not None and w0.status == OUTER_MISPLACED:
-            violations.append(Violation(
-                "misplaced_rightmost", key=v.key, child_key=w0.key))
-            continue
-        if w0 is None or w0.status == OUTER_PLACED:
+        if kids is not None:
+            inner = inner_of[v]
+            if r < inner:
+                violations.append(Violation(
+                    "rank_budget", key=v.key, rank=r, inner_children=inner))
+            # rank consistency against the rules, on the resting forest
+            if st0 == OUTER_MISPLACED:
+                violations.append(Violation(
+                    "misplaced_rightmost", key=v.key, child_key=w0.key))
+                continue
+        if kids is None or st0 == OUTER_PLACED:
             if r != 0:
                 violations.append(Violation(
                     "rank_mismatch", key=v.key, rank=r, expect=0,
                     detail="no inner children"))
             continue
-        rho0 = _rho(w0)
         if len(kids) >= 2:
             u = kids[-2]
-            if u.status == OUTER_MISPLACED:
+            su = u.status
+            if su == OUTER_MISPLACED:
                 gap = True
-            elif u.status == OUTER_PLACED:
+            elif su == OUTER_PLACED:
                 gap = rho0 > 0
             else:
-                gap = rho0 > _rho(u) + 1
+                gap = rho0 > (u.rank + 1 if su == CRITICAL_INNER
+                              else u.rank) + 1
         else:
             gap = rho0 > 0
-        if gap and w0.status == CRITICAL_INNER:
+        if gap and st0 == CRITICAL_INNER:
             # rule 2 is pending; tolerated deep in a tree, never at a root
             if is_root:
                 violations.append(Violation(
@@ -364,10 +395,10 @@ def _audit(heap, table=None):
 
     # parents before children; pass 1 found the links sound, so this ends
     order = iter_vertices(heap) if short else ()
-    undersized = [short[id(v)] for v in order if id(v) in short]
+    undersized = [short[v] for v in order if v in short]
 
     n = heap.size
-    tau = len(root_ids)
+    tau = len(roots)
     critical = nonroot[CRITICAL_INNER]
     inner = nonroot[NONCRITICAL_INNER] + critical
     phi2 = 0 if n == 0 else min(tau, plastic_cap(n))

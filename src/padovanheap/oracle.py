@@ -57,24 +57,42 @@ class Oracle:
         del self._keys[h]
         return key
 
+    # A handle is one of this oracle's own ints: type(h) is int keeps out
+    # unhashable junk and the 1.0 and True aliases of the int 1, and one
+    # dict access both tests and reads it.
+
     def decrease_key(self, h, new_key):
-        if h not in self._keys:
-            raise StaleHandleError("decrease_key on dead handle %r" % (h,))
-        cur = self._keys[h]
-        if new_key > cur:
-            raise KeyIncreaseError("%r -> %r is an increase" % (cur, new_key))
-        self._keys[h] = new_key
-        heapq.heappush(self._heap, (new_key, h))
+        keys = self._keys
+        if type(h) is int:
+            try:
+                cur = keys[h]
+            except KeyError:
+                pass
+            else:
+                if new_key > cur:
+                    raise KeyIncreaseError(
+                        "%r -> %r is an increase" % (cur, new_key))
+                keys[h] = new_key
+                heapq.heappush(self._heap, (new_key, h))
+                return
+        raise StaleHandleError("decrease_key on dead handle %r" % (h,))
 
     def delete(self, h):
-        if h not in self._keys:
-            raise StaleHandleError("delete on dead handle %r" % (h,))
-        del self._keys[h]
+        if type(h) is int:
+            try:
+                del self._keys[h]
+                return
+            except KeyError:
+                pass
+        raise StaleHandleError("delete on dead handle %r" % (h,))
 
     def key_of(self, h):
-        if h not in self._keys:
-            raise StaleHandleError("key_of on dead handle %r" % (h,))
-        return self._keys[h]
+        if type(h) is int:
+            try:
+                return self._keys[h]
+            except KeyError:
+                pass
+        raise StaleHandleError("key_of on dead handle %r" % (h,))
 
     def meld(self, other):
         if other is self:

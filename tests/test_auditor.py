@@ -7,6 +7,7 @@ import signal
 import pytest
 
 from padovanheap import FibonacciHeap, PadovanHeap, plastic_cap
+from padovanheap.errors import StaleHandleError
 from padovanheap.node_store import (
     NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
 from padovanheap.auditor import (
@@ -499,8 +500,9 @@ def test_one_walk_audit_matches_separate_walks_on_clean_states():
                after=lambda idx, ev: assert_one_walk_matches(h))
 
 
-def test_one_walk_audit_matches_separate_walks_on_corrupted_states():
-    reported = set()
+def corrupted_states():
+    """Random states with one to three vertices' rank, status or key
+    corrupted; yields each heap once corrupted."""
     for seed in range(240):
         rng = random.Random(seed)
         events = gen_workload("random", 300, seed=seed)
@@ -516,8 +518,379 @@ def test_one_walk_audit_matches_separate_walks_on_corrupted_states():
                                        if s != v.status])
             else:
                 v.key += rng.choice((-10**6, -1, 1, 10**6))
+        yield h
+
+
+def test_one_walk_audit_matches_separate_walks_on_corrupted_states():
+    reported = set()
+    for h in corrupted_states():
         assert_one_walk_matches(h)
         reported.update(v.kind for v in check_size_bounds(h))
         reported.update(v.kind for v in audit_state(h))
     # the fuzz reaches the size and tally checks, not just the content pass
     assert {"size_bound", "tally_mismatch", "rank_mismatch"} <= reported
+
+
+# ------------------------------------- the audit against a frozen reference
+#
+# frozen_walk and frozen_audit are the one-walk audit as it stood when its
+# maps were keyed by id() and it called _rho and _is_dangerous per vertex.
+# The faster audit must give the same four outputs, in the same order.
+
+def _frozen_is_dangerous(v):
+    if v.rank == 0 or v.child is None:
+        return False
+    w0 = v.child.left
+    if w0.status > CRITICAL_INNER:
+        return False
+    return v.rank <= _rho(w0)
+
+
+def frozen_walk(heap):
+    is_live = heap.arena.is_live
+    d = heap.dummy
+    cap = heap.size + 1
+    violations = []
+    seen = {}
+    lists = []
+    stack = [d] if d.child is not None else []
+    while stack:
+        owner = stack.pop()
+        members = []
+        lists.append((owner, members))
+        v = owner.child
+        for _ in range(cap):
+            members.append(v)
+            nxt = v.right
+            if nxt.left is not v:
+                break
+            v = nxt
+        else:
+            violations.append(Violation(
+                "broken_owner_link", owner_key=owner.key,
+                detail="right walk exceeded %d nodes" % cap))
+            continue
+        if nxt is not owner:
+            violations.append(Violation(
+                "broken_owner_link", owner_key=owner.key, child_key=v.key))
+            continue
+        prev = v
+        for v in members:
+            if v.left is not prev:
+                violations.append(Violation(
+                    "broken_left_cycle", owner_key=owner.key, child_key=v.key))
+            prev = v
+            if id(v) in seen:
+                violations.append(Violation("shared_vertex", key=v.key))
+                continue
+            if not is_live(v):
+                violations.append(Violation("dead_vertex", key=v.key))
+            seen[id(v)] = v
+            if v.child is not None:
+                stack.append(v)
+    if not violations and len(seen) != heap.size:
+        violations.append(Violation(
+            "size_mismatch", reachable=len(seen), recorded=heap.size))
+    root_ids = {id(r) for r in lists[0][1]} if lists else set()
+    return violations, seen, lists, root_ids
+
+
+def frozen_audit(heap, table=None):
+    links, seen, lists, root_ids = frozen_walk(heap)
+    if links:
+        return links, links, links, None
+    if table is None:
+        table = size_bound_table(heap.max_rank_seen + 1)
+    violations = []
+
+    kids_of = {id(owner): members for owner, members in lists}
+    for owner, members in lists[1:]:
+        seen_nonplaced = False
+        inner_idx = 0
+        prev_rho = None
+        for v in members:
+            if not (NONCRITICAL_INNER <= v.status <= OUTER_MISPLACED):
+                violations.append(Violation(
+                    "bad_status", key=v.key, status=v.status))
+                continue
+            if v.key < owner.key:
+                violations.append(Violation(
+                    "heap_order", parent_key=owner.key, child_key=v.key))
+            if v.status == OUTER_PLACED:
+                if seen_nonplaced:
+                    violations.append(Violation(
+                        "layout", parent_key=owner.key, child_key=v.key,
+                        detail="placed child after the placed prefix"))
+            else:
+                seen_nonplaced = True
+            if v.status <= CRITICAL_INNER:
+                rho = _rho(v)
+                if rho < inner_idx:
+                    violations.append(Violation(
+                        "index_bound", parent_key=owner.key, child_key=v.key,
+                        inner_index=inner_idx, rho=rho))
+                if prev_rho is not None and rho < prev_rho + 1:
+                    violations.append(Violation(
+                        "inner_order", parent_key=owner.key, child_key=v.key,
+                        prev_rho=prev_rho, rho=rho))
+                prev_rho = rho
+                inner_idx += 1
+
+    sizes = {}
+    for owner, kids in reversed(lists):
+        size = 1
+        i = len(kids) - 1
+        while i >= 0 and kids[i].status == OUTER_MISPLACED:
+            i -= 1
+        if i >= 0 and kids[i].status != OUTER_PLACED:
+            w0 = kids[i]
+            size += sizes.get(id(w0), 1)
+            if i > 0:
+                u = kids[i - 1]
+                st = u.status
+                if (st != OUTER_MISPLACED and st != OUTER_PLACED
+                        and _rho(w0) <= _rho(u) + 1):
+                    size += sizes.get(id(u), 1)
+        sizes[id(owner)] = size
+
+    short = {}
+    nonroot = [0, 0, 0, 0]
+    root = [0, 0, 0, 0]
+    rank_sum = 0
+    dangerous = 0
+    for v in seen.values():
+        vid = id(v)
+        r = v.rank
+        rank_sum += r
+        is_root = vid in root_ids
+        st = v.status
+        if not CRITICAL_INNER <= st <= OUTER_MISPLACED:
+            st = NONCRITICAL_INNER
+        if is_root:
+            root[st] += 1
+        else:
+            nonroot[st] += 1
+        kids = kids_of.get(vid, ())
+        if not kids and r == 0:
+            continue
+        danger = _frozen_is_dangerous(v)
+        dangerous += danger
+        size = sizes.get(vid, 1)
+        bound = table[r] if r < len(table) else size_bound_table(r)[r]
+        if size < bound:
+            short[vid] = Violation(
+                "size_bound", key=v.key, rank=r, size=size, bound=bound)
+
+        if r < 0:
+            violations.append(Violation("negative_rank", key=v.key, rank=r))
+            continue
+        inner_count = sum(1 for w in kids if w.status <= CRITICAL_INNER)
+        if r < inner_count:
+            violations.append(Violation(
+                "rank_budget", key=v.key, rank=r, inner_children=inner_count))
+        w0 = kids[-1] if kids else None
+        if w0 is not None and w0.status == OUTER_MISPLACED:
+            violations.append(Violation(
+                "misplaced_rightmost", key=v.key, child_key=w0.key))
+            continue
+        if w0 is None or w0.status == OUTER_PLACED:
+            if r != 0:
+                violations.append(Violation(
+                    "rank_mismatch", key=v.key, rank=r, expect=0,
+                    detail="no inner children"))
+            continue
+        rho0 = _rho(w0)
+        if len(kids) >= 2:
+            u = kids[-2]
+            if u.status == OUTER_MISPLACED:
+                gap = True
+            elif u.status == OUTER_PLACED:
+                gap = rho0 > 0
+            else:
+                gap = rho0 > _rho(u) + 1
+        else:
+            gap = rho0 > 0
+        if gap and w0.status == CRITICAL_INNER:
+            if is_root:
+                violations.append(Violation(
+                    "rule2_pending_root", key=v.key, rank=r, rho0=rho0))
+            continue
+        expect = rho0 if gap else rho0 + 1
+        if r != expect:
+            violations.append(Violation(
+                "rank_mismatch", key=v.key, rank=r, expect=expect,
+                gap=gap, rho0=rho0))
+        if not is_root and v.status == NONCRITICAL_INNER and danger:
+            violations.append(Violation(
+                "steady_dangerous", key=v.key, rank=r, rho0=rho0))
+
+    order = iter_vertices(heap) if short else ()
+    undersized = [short[id(v)] for v in order if id(v) in short]
+
+    n = heap.size
+    tau = len(root_ids)
+    critical = nonroot[CRITICAL_INNER]
+    inner = nonroot[NONCRITICAL_INNER] + critical
+    phi2 = 0 if n == 0 else min(tau, plastic_cap(n))
+    phis = (tau, nonroot[OUTER_PLACED], phi2, critical, rank_sum - inner,
+            nonroot[OUTER_MISPLACED], dangerous)
+    cached = tuple(heap.potentials())
+    tallies = [Violation("tally_mismatch", phi=i, walked=phis[i],
+                         cached=cached[i])
+               for i in range(7) if phis[i] != cached[i]]
+    if not tallies:
+        fields = [("_rank_sum", rank_sum, heap._rank_sum)] + [
+            ("_stat_tally[%d]" % i, nonroot[i] + root[i], heap._stat_tally[i])
+            for i in range(4)]
+        tallies = [Violation("tally_mismatch", field=f, walked=w, cached=c)
+                   for f, w, c in fields if w != c]
+    return violations, undersized, tallies, phis
+
+
+def assert_matches_frozen(h):
+    """The audit's four outputs, read through the views that return them,
+    equal the frozen audit's, rendered and in order, and so does
+    audit_state; returns the kinds of the frozen violations."""
+    frozen = frozen_audit(h)
+    structure, undersized, tallies = [[v.render() for v in vs]
+                                      for vs in frozen[:3]]
+    phis = frozen[3]
+    assert [v.render() for v in check_structure(h)] == structure
+    assert [v.render() for v in check_size_bounds(h)] == undersized
+    assert [v.render() for v in verify_tallies(h)] == tallies
+    assert ([v.render() for v in audit_state(h)]
+            == (structure or undersized + tallies))
+    if phis is None:
+        with pytest.raises(ValueError):
+            compute_potentials(h)
+    else:
+        assert compute_potentials(h) == phis
+    return {v.kind for v in frozen[0] + frozen[1] + frozen[2]}
+
+
+def test_audit_matches_frozen_reference_after_every_event():
+    runs = [("random", 600, seed) for seed in range(8)]
+    runs += [("competition", 500, 0), ("ascending", 500, 0)]
+    for mode, n, seed in runs:
+        h = PadovanHeap()
+        replay(gen_workload(mode, n, seed=seed), h,
+               after=lambda idx, ev: assert_matches_frozen(h))
+
+
+def test_audit_matches_frozen_reference_on_corrupted_states():
+    reported = set()
+    for h in corrupted_states():
+        reported |= assert_matches_frozen(h)
+    assert {"bad_status", "rank_budget", "negative_rank", "size_bound",
+            "tally_mismatch", "rank_mismatch"} <= reported
+
+
+class FakeVertex:
+    """Not a Node, but with the three links the walk follows."""
+
+    def __init__(self, key):
+        self.key = key
+        self.left = self
+        self.right = None
+        self.child = None
+
+
+class UnhashableFakeVertex(FakeVertex):
+    def __eq__(self, other):  # defining __eq__ drops __hash__
+        return self is other
+
+
+def _hang_below(leaf, x):
+    """Make x the sole child of the leaf."""
+    x.left = x
+    x.right = leaf
+    x.child = None
+    leaf.child = x
+
+
+def link_corruptions(h, rng):
+    """(kind, corrupt) pairs: each corrupt() breaks h's links so that the
+    frozen walk reports kind."""
+    vs = list(iter_vertices(h))
+    roots = h.roots()
+    leaves = [v for v in vs if v.child is None]
+    nonroots = [v for v in vs if v not in roots]
+    d = h.dummy
+
+    def owner_link():
+        # a rightmost child's right link points past its owner
+        v = rng.choice([v for v in nonroots if v.right.left is not v])
+        v.right = rng.choice([r for r in roots + [d] if r is not v.right])
+
+    def owner_cycle():
+        rng.choice(leaves).child = rng.choice(roots)
+
+    def left_cycle():
+        # a leftmost member's left link is read by no end test
+        owner = rng.choice([d] + [v for v in vs if v.child is not None])
+        v = owner.child
+        v.left = v if v.left is not v else owner
+
+    def shared():
+        # the dummy head hung below a leaf, its root list kept: the root
+        # list is walked twice
+        leaf = rng.choice(leaves)
+        d.right = leaf
+        leaf.child = d
+
+    def dead_freed():
+        f = h.arena.alloc(-1)
+        h.arena.free(f)
+        _hang_below(rng.choice(leaves), f)
+
+    def dead_fake():
+        _hang_below(rng.choice(leaves), FakeVertex(-1))
+
+    def dead_unhashable():
+        _hang_below(rng.choice(leaves), UnhashableFakeVertex(-1))
+
+    def size():
+        h._size += rng.choice((-1, 1))
+
+    out = [("broken_owner_link", owner_cycle), ("broken_left_cycle", left_cycle),
+           ("shared_vertex", shared), ("dead_vertex", dead_freed),
+           ("dead_vertex", dead_fake), ("dead_vertex", dead_unhashable),
+           ("size_mismatch", size)]
+    if nonroots:
+        out.append(("broken_owner_link", owner_link))
+    return out
+
+
+def test_audit_matches_frozen_reference_on_broken_links():
+    for seed in range(30):
+        rng = random.Random(seed)
+        events = gen_workload("random", 300, seed=seed)
+        stop = rng.randrange(60, len(events))
+
+        def fresh():
+            h = PadovanHeap()
+            replay(events[:stop], h)
+            return h
+
+        for i in range(len(link_corruptions(fresh(), rng))):
+            h = fresh()
+            kind, corrupt = link_corruptions(h, rng)[i]
+            corrupt()
+            assert kind in assert_matches_frozen(h), (seed, kind)
+
+
+def test_views_of_a_consumed_heap_raise_stale_handle():
+    a = PadovanHeap()
+    b = PadovanHeap(a.arena)
+    for k in range(1, 9):
+        a.insert(k)
+        b.insert(10 + k)
+    b.find_min()
+    a.meld(b)
+    views = (audit_state, check_structure, check_size_bounds, verify_tallies,
+             compute_potentials, check_root_safety,
+             lambda h: list(iter_vertices(h)))
+    for view in views:
+        with pytest.raises(StaleHandleError):
+            view(b)
+    assert audit_state(a) == []

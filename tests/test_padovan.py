@@ -1,6 +1,7 @@
 """Padovan heap: hand-built scenarios with frozen outcomes, then randomized
 differential runs against the oracle with the auditor riding along."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from padovanheap import (
 from padovanheap.node_store import (
     Arena, NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED,
     LAST, NOT_LAST_TWO)
+from padovanheap import oracle
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from padovanheap.auditor import audit_state, check_root_safety, children
 from padovanheap.trace import iter_workload, replay
@@ -385,9 +387,12 @@ def test_stale_handle_after_delete_min():
 
 def heap_digest(h):
     """state_digest for a PadovanHeap; for a FibonacciHeap, a hash of its
-    counters, size and every ring, with keys, degrees and marks."""
+    counters, size and every ring, with keys, degrees and marks; for an
+    Oracle, a hash of its live keys and its heap entries."""
     if isinstance(h, PadovanHeap):
         return state_digest(h)
+    if isinstance(h, Oracle):
+        return hash((tuple(sorted(h._keys.items())), tuple(sorted(h._heap))))
 
     def ring(start):
         out = []
@@ -407,14 +412,19 @@ def handle_calls(h, v):
             lambda: h.delete(v))
 
 
-@pytest.mark.parametrize("cls", [PadovanHeap, FibonacciHeap])
-def test_non_node_handles_are_stale(cls):
+@pytest.mark.parametrize("cls", [PadovanHeap, FibonacciHeap, Oracle])
+def test_non_node_handles_are_stale(cls, monkeypatch):
+    # an Oracle drawing handles from 0 holds the live int handle 1 (key 2),
+    # which 1.0 and True must not alias
+    monkeypatch.setattr(oracle, "_next_handle", itertools.count(0))
     h = cls()
     for k in range(1, 9):
         h.insert(k)
     h.delete_min()
+    if cls is Oracle:
+        assert h.key_of(1) == 2
     before = heap_digest(h)
-    for junk in ([], "x", None):
+    for junk in ([], "x", None, 1.0, True):
         for call in handle_calls(h, junk):
             with pytest.raises(StaleHandleError):
                 call()
