@@ -342,14 +342,13 @@ def _audit(heap, table=None):
             danger = r != 0 and st0 <= CRITICAL_INNER and r <= rho0
             dangerous += danger
             size = sizes[v]
+        if r < 0:  # no size bound: the table starts at rank 0
+            violations.append(Violation("negative_rank", key=v.key, rank=r))
+            continue
         bound = table[r] if r < len(table) else size_bound_table(r)[r]
         if size < bound:
             short[v] = Violation(
                 "size_bound", key=v.key, rank=r, size=size, bound=bound)
-
-        if r < 0:
-            violations.append(Violation("negative_rank", key=v.key, rank=r))
-            continue
         if kids is not None:
             inner = inner_of[v]
             if r < inner:

@@ -8,10 +8,27 @@ Step counting mirrors the arena heap: link_writes counts writes to the four
 link fields, comparisons counts key comparisons between two nodes. Mark and
 degree updates are bookkeeping on non-link fields and are not counted; the
 min-pointer is heap state, not a node link.
+
+Each operation writes its ring surgery and degree-histogram updates out
+inline, counts its steps in locals and adds them to `counters` once per
+operation (delete_min in a `finally`). The counts are those of the plain
+form that makes each ring move as a call, which tests/test_fibonacci.py
+keeps as the reference: every ring move is charged in full, even where
+the inline form skips a write that the next move overwrites,
+
+    splice v out of its ring, leaving v a singleton    4
+    insert a singleton into a ring                     4
+    concatenate two disjoint rings                     4
+
+plus one per parent or child link written, and two for a new node's
+self-links.
 """
 
 from .errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from .node_store import StepCounters
+
+_CONSUMED = "heap was consumed by meld"
+_STALE = "dead or foreign handle: %r"
 
 
 class FibNode:
@@ -52,35 +69,9 @@ class FibonacciHeap:
         return self._size == 0
 
     def key_of(self, v):
-        self._check_handle(v)
-        return v.key
-
-    def _require_alive(self):
-        if self._consumed:
-            raise StaleHandleError("heap was consumed by meld")
-
-    def _check_handle(self, v):
         if not isinstance(v, FibNode) or v not in self._live:
-            raise StaleHandleError("dead or foreign handle: %r" % (v,))
-
-    # -- degree histogram ----------------------------------------------
-
-    def _hist_inc(self, d):
-        h = self._deg_hist
-        while d >= len(h):
-            h.extend([0] * len(h))
-        h[d] += 1
-        if d > self.max_degree_seen:
-            self.max_degree_seen = d
-
-    def _hist_dec(self, d):
-        self._deg_hist[d] -= 1
-        assert self._deg_hist[d] >= 0
-
-    def _set_degree(self, v, d):
-        self._hist_dec(v.degree)
-        v.degree = d
-        self._hist_inc(d)
+            raise StaleHandleError(_STALE % (v,))
+        return v.key
 
     def current_max_degree(self):
         """Largest degree present among live nodes (O(max degree))."""
@@ -90,218 +81,280 @@ class FibonacciHeap:
                 return d
         return 0
 
-    # -- ring surgery ----------------------------------------------------
-
-    def _splice_out(self, v):
-        v.left.right = v.right
-        v.right.left = v.left
-        v.left = v
-        v.right = v
-        self.counters.link_writes += 4
-
-    def _ring_insert(self, anchor, v):
-        """Insert detached singleton v immediately left of anchor."""
-        a = anchor.left
-        a.right = v
-        v.left = a
-        v.right = anchor
-        anchor.left = v
-        self.counters.link_writes += 4
-
-    def _ring_concat(self, x, y):
-        """Merge the disjoint rings containing x and y."""
-        xr = x.right
-        yr = y.right
-        x.right = yr
-        yr.left = x
-        y.right = xr
-        xr.left = y
-        self.counters.link_writes += 4
-
     # -- operations -------------------------------------------------------
 
     def insert(self, key):
-        self._require_alive()
+        if self._consumed:
+            raise StaleHandleError(_CONSUMED)
         v = FibNode(key)
-        self.counters.link_writes += 2  # left=self, right=self
         self._live.add(v)
-        self._hist_inc(0)
-        if self._min is None:
-            self._min = v
-        else:
-            self._ring_insert(self._min, v)
-            self.counters.comparisons += 1
-            if v.key < self._min.key:
-                self._min = v
+        self._deg_hist[0] += 1
         self._size += 1
+        m = self._min
+        c = self.counters
+        if m is None:
+            self._min = v
+            c.link_writes += 2  # left=self, right=self
+            return v
+        # insert v left of the min
+        a = m.left
+        a.right = v
+        v.left = a
+        v.right = m
+        m.left = v
+        c.link_writes += 6
+        c.comparisons += 1
+        if key < m.key:
+            self._min = v
         return v
 
     def find_min(self):
-        self._require_alive()
-        if self._min is None:
+        if self._consumed:
+            raise StaleHandleError(_CONSUMED)
+        m = self._min
+        if m is None:
             raise EmptyHeapError("find_min on empty heap")
-        return self._min
+        return m
 
     def delete_min(self):
-        self._require_alive()
+        if self._consumed:
+            raise StaleHandleError(_CONSUMED)
         m = self._min
         if m is None:
             raise EmptyHeapError("delete_min on empty heap")
-        c = self.counters
-        # promote children into the root ring
+        h = self._deg_hist
+        self._live.discard(m)
+        d = m.degree
+        h[d] -= 1
+        assert h[d] >= 0
+        self._size -= 1
+        # m's children take m's place in the root ring, in their ring
+        # order from child.right, as if concatenated right of m before m
+        # is spliced out; consolidation visits the ring from first to last
+        r = m.right
         child = m.child
         if child is not None:
-            kids = [child]
-            x = child.right
-            while x is not child:
-                kids.append(x)
+            # promote the children: clear their parents and marks
+            k = 0
+            x = child
+            while True:
+                x.parent = None
+                x.marked = False
+                k += 1
                 x = x.right
-            for k in kids:
-                k.parent = None
-                k.marked = False
-            c.link_writes += len(kids)  # parent clears
+                if x is child:
+                    break
             m.child = None
-            c.link_writes += 1
-            self._ring_concat(m, child)
-        self._live.discard(m)
-        self._hist_dec(m.degree)
-        self._size -= 1
-        if m.right is m:
+            # parent clears, m.child, the concatenation and m's splice
+            writes = k + 9
+            first = child.right
+            if r is m:
+                last = child
+            else:
+                last = m.left
+                last.right = first
+                first.left = last
+                child.right = r
+                r.left = child
+        elif r is m:
             self._min = None
             return m.key
-        start = m.right
-        self._splice_out(m)
-        # consolidate left to right from the node after the removed min
-        roots = [start]
-        x = start.right
-        while x is not start:
-            roots.append(x)
-            x = x.right
-        degs = [None] * 8
-        for w in roots:
-            x = w
-            d = x.degree
+        else:
+            first = r
+            last = m.left
+            last.right = r
+            r.left = last
+            writes = 4
+        m.left = m.right = m
+        # consolidate: link roots of equal degree until degrees are
+        # distinct. A root is linked only once visited, so the next one
+        # to visit stays in the ring
+        hn = len(h)
+        degs = [None] * hn
+        top = self.max_degree_seen
+        cmps = 0
+        try:
+            x = first
             while True:
-                while d >= len(degs):
-                    degs.extend([None] * len(degs))
-                occ = degs[d]
-                if occ is None:
-                    degs[d] = x
+                nxt = x.right
+                w = x
+                d = w.degree
+                while True:
+                    occ = degs[d]
+                    if occ is None:
+                        degs[d] = w
+                        break
+                    degs[d] = None
+                    cmps += 1
+                    if occ.key <= w.key:
+                        w, loser = occ, w
+                    else:
+                        loser = occ
+                    # splice the loser out of the root ring, then make it
+                    # a child of w
+                    l = loser.left
+                    r = loser.right
+                    l.right = r
+                    r.left = l
+                    loser.parent = w
+                    ch = w.child
+                    if ch is None:
+                        loser.left = loser.right = loser
+                        w.child = loser
+                        writes += 6
+                    else:
+                        a = ch.left
+                        a.right = loser
+                        loser.left = a
+                        loser.right = ch
+                        ch.left = loser
+                        writes += 9
+                    h[d] -= 1
+                    assert h[d] >= 0
+                    d += 1
+                    w.degree = d
+                    if d == hn:
+                        h.extend([0] * d)
+                        degs.extend([None] * d)
+                        hn += d
+                    h[d] += 1
+                    if d > top:
+                        top = d
+                if x is last:
                     break
-                degs[d] = None
-                c.comparisons += 1
-                if occ.key <= x.key:
-                    winner, loser = occ, x
-                else:
-                    winner, loser = x, occ
-                self._splice_out(loser)
-                loser.parent = winner
-                c.link_writes += 1
-                if winner.child is None:
-                    winner.child = loser
-                    c.link_writes += 1
-                else:
-                    self._ring_insert(winner.child, loser)
-                self._set_degree(winner, winner.degree + 1)
-                x = winner
-                d = x.degree
-        # the survivors sit in the bucket array; rescan them for the min
-        new_min = None
-        for d in range(len(degs)):
-            node = degs[d]
-            if node is None:
-                continue
-            degs[d] = None
-            if new_min is None:
-                new_min = node
-            else:
-                c.comparisons += 1
-                if node.key < new_min.key:
-                    new_min = node
-        self._min = new_min
+                x = nxt
+            # the survivors sit in the bucket array; scan them for the min
+            new_min = None
+            for x in degs:
+                if x is not None:
+                    if new_min is None:
+                        new_min = x
+                    else:
+                        cmps += 1
+                        if x.key < new_min.key:
+                            new_min = x
+            self._min = new_min
+        finally:
+            c = self.counters
+            c.link_writes += writes
+            c.comparisons += cmps
+            self.max_degree_seen = top
         return m.key
 
     def decrease_key(self, v, new_key):
-        self._require_alive()
-        self._check_handle(v)
+        if self._consumed:
+            raise StaleHandleError(_CONSUMED)
+        if not isinstance(v, FibNode) or v not in self._live:
+            raise StaleHandleError(_STALE % (v,))
         if new_key > v.key:
             raise KeyIncreaseError(
                 "decrease_key %r -> %r is an increase" % (v.key, new_key))
         v.key = new_key
         p = v.parent
+        c = self.counters
         if p is not None:
-            self.counters.comparisons += 1
-            if v.key < p.key:
+            c.comparisons += 2
+            if new_key < p.key:
                 self._cut(v)
-                self._cascading_cut(p)
-        self.counters.comparisons += 1
-        if v.key < self._min.key:
+        else:
+            c.comparisons += 1
+        if new_key < self._min.key:
             self._min = v
 
     def delete(self, v):
-        self._require_alive()
-        self._check_handle(v)
-        p = v.parent
-        if p is not None:
+        if self._consumed:
+            raise StaleHandleError(_CONSUMED)
+        if not isinstance(v, FibNode) or v not in self._live:
+            raise StaleHandleError(_STALE % (v,))
+        if v.parent is not None:
             self._cut(v)
-            self._cascading_cut(p)
         # v is a root now; force it to be the one delete_min removes
         self._min = v
         self.delete_min()
 
     def _cut(self, v):
-        c = self.counters
-        p = v.parent
-        if v.right is v:
-            p.child = None
-            c.link_writes += 1
-        else:
-            if p.child is v:
-                p.child = v.right
-                c.link_writes += 1
-            self._splice_out(v)
-        v.parent = None
-        c.link_writes += 1
-        self._set_degree(p, p.degree - 1)
-        v.marked = False
-        self._ring_insert(self._min, v)
-
-    def _cascading_cut(self, y):
+        """Cut non-root v and make it a root left of the min, then walk up
+        the cascade: cut each marked non-root parent in turn, and mark the
+        first unmarked one. Roots are never marked."""
+        m = self._min
+        h = self._deg_hist
+        writes = 0
         while True:
-            p = y.parent
-            if p is None:
-                return  # roots are never marked
-            if not y.marked:
-                y.marked = True
-                return
-            self._cut(y)
-            y = p
+            p = v.parent
+            # splice v out of p's child ring
+            r = v.right
+            if r is v:
+                p.child = None
+                writes += 6  # p.child, v.parent, the ring insert
+            else:
+                if p.child is v:
+                    p.child = r
+                    writes += 1
+                l = v.left
+                l.right = r
+                r.left = l
+                writes += 9  # the splice, v.parent, the ring insert
+            v.parent = None
+            v.marked = False
+            d = p.degree
+            h[d] -= 1
+            assert h[d] >= 0
+            p.degree = d - 1
+            h[d - 1] += 1
+            # insert v left of the min
+            a = m.left
+            a.right = v
+            v.left = a
+            v.right = m
+            m.left = v
+            if p.parent is None:
+                break
+            if not p.marked:
+                p.marked = True
+                break
+            v = p
+        self.counters.link_writes += writes
 
     def meld(self, other):
-        self._require_alive()
-        other._require_alive()
+        if self._consumed or other._consumed:
+            raise StaleHandleError(_CONSUMED)
         if other is self:
             raise ValueError("meld of a heap with itself")
-        if other._min is not None:
-            if self._min is None:
-                self._min = other._min
+        cs = self.counters
+        om = other._min
+        if om is not None:
+            m = self._min
+            if m is None:
+                self._min = om
             else:
-                self._ring_concat(self._min, other._min)
-                self.counters.comparisons += 1
-                if other._min.key < self._min.key:
-                    self._min = other._min
+                # concatenate the two root rings
+                mr = m.right
+                omr = om.right
+                m.right = omr
+                omr.left = m
+                om.right = mr
+                mr.left = om
+                cs.link_writes += 4
+                cs.comparisons += 1
+                if om.key < m.key:
+                    self._min = om
         self._size += other._size
-        self._live |= other._live
-        oh = other._deg_hist
-        for d in range(len(oh)):
-            if oh[d]:
-                h = self._deg_hist
+        # merge the smaller live set into the larger
+        live = self._live
+        olive = other._live
+        if len(live) < len(olive):
+            live, olive = olive, live
+            self._live = live
+        live |= olive
+        h = self._deg_hist
+        for d, n in enumerate(other._deg_hist):
+            if n:
                 while d >= len(h):
                     h.extend([0] * len(h))
-                h[d] += oh[d]
+                h[d] += n
         if other.max_degree_seen > self.max_degree_seen:
             self.max_degree_seen = other.max_degree_seen
-        co, cs = other.counters, self.counters
+        co = other.counters
         cs.link_writes += co.link_writes
         cs.comparisons += co.comparisons
         other._min = None

@@ -198,6 +198,13 @@ def test_detect_undersized_tree():
     assert vs[0].info["size"] == 4 and vs[0].info["bound"] == 5
 
 
+def test_negative_rank_has_no_size_bound():
+    h, hs = build8()
+    hs[3].rank = -1
+    assert "negative_rank" in {v.kind for v in audit_state(h)}
+    assert check_size_bounds(h) == []
+
+
 def test_views_return_on_a_child_link_cycle():
     # a leaf whose child link points back at the root: every view reads the
     # bounded walk, which reports the link instead of following the cycle
@@ -439,6 +446,8 @@ def reference_size_bounds(heap):
                     size += sizes[id(u)]
         sizes[id(v)] = size
         r = v.rank
+        if r < 0:
+            continue  # negative_rank; the table starts at rank 0
         bound = table[r] if r < len(table) else size_bound_table(r)[r]
         if size < bound:
             out.append(Violation("size_bound", key=v.key, rank=r,
@@ -502,7 +511,8 @@ def test_one_walk_audit_matches_separate_walks_on_clean_states():
 
 def corrupted_states():
     """Random states with one to three vertices' rank, status or key
-    corrupted; yields each heap once corrupted."""
+    corrupted, then random states with one or two non-roots made
+    dangerous; yields each heap once corrupted."""
     for seed in range(240):
         rng = random.Random(seed)
         events = gen_workload("random", 300, seed=seed)
@@ -519,6 +529,23 @@ def corrupted_states():
             else:
                 v.key += rng.choice((-10**6, -1, 1, 10**6))
         yield h
+    # The rank is set to the rightmost inner child's rho, under a
+    # noncritical or an out-of-range status: only a raw noncritical status
+    # makes a steady_dangerous.
+    for seed in range(240, 300):
+        rng = random.Random(seed)
+        events = gen_workload("random", 300, seed=seed)
+        h = PadovanHeap()
+        replay(events[:rng.randrange(100, len(events))], h)
+        roots = set(h.roots())
+        targets = [v for v in iter_vertices(h)
+                   if v not in roots and v.child is not None
+                   and v.child.left.status <= CRITICAL_INNER
+                   and _rho(v.child.left) > 0]
+        for v in rng.sample(targets, min(len(targets), rng.randint(1, 2))):
+            v.rank = _rho(v.child.left)
+            v.status = rng.choice((NONCRITICAL_INNER, -1, 4))
+        yield h
 
 
 def test_one_walk_audit_matches_separate_walks_on_corrupted_states():
@@ -534,8 +561,9 @@ def test_one_walk_audit_matches_separate_walks_on_corrupted_states():
 # ------------------------------------- the audit against a frozen reference
 #
 # frozen_walk and frozen_audit are the one-walk audit as it stood when its
-# maps were keyed by id() and it called _rho and _is_dangerous per vertex.
-# The faster audit must give the same four outputs, in the same order.
+# maps were keyed by id() and it called _rho and _is_dangerous per vertex,
+# except that a negative rank gets no size bound, as in the audit. The
+# faster audit must give the same four outputs, in the same order.
 
 def _frozen_is_dangerous(v):
     if v.rank == 0 or v.child is None:
@@ -676,14 +704,13 @@ def frozen_audit(heap, table=None):
         danger = _frozen_is_dangerous(v)
         dangerous += danger
         size = sizes.get(vid, 1)
+        if r < 0:  # no size bound: the table starts at rank 0
+            violations.append(Violation("negative_rank", key=v.key, rank=r))
+            continue
         bound = table[r] if r < len(table) else size_bound_table(r)[r]
         if size < bound:
             short[vid] = Violation(
                 "size_bound", key=v.key, rank=r, size=size, bound=bound)
-
-        if r < 0:
-            violations.append(Violation("negative_rank", key=v.key, rank=r))
-            continue
         inner_count = sum(1 for w in kids if w.status <= CRITICAL_INNER)
         if r < inner_count:
             violations.append(Violation(
@@ -782,7 +809,7 @@ def test_audit_matches_frozen_reference_on_corrupted_states():
     for h in corrupted_states():
         reported |= assert_matches_frozen(h)
     assert {"bad_status", "rank_budget", "negative_rank", "size_bound",
-            "tally_mismatch", "rank_mismatch"} <= reported
+            "tally_mismatch", "rank_mismatch", "steady_dangerous"} <= reported
 
 
 class FakeVertex:

@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padovanheap import FibonacciHeap, FibNode, Oracle
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
+from padovanheap.trace import iter_workload, replay
 
 GOLDEN = (1 + 5 ** 0.5) / 2
 
@@ -164,3 +166,452 @@ def test_differential_vs_oracle():
             o.delete(ho)
         assert h.size == o.size
     h.validate()
+
+
+# ---------------------------------------------------- frozen step counts
+
+@pytest.mark.parametrize("mode, n, seed, steps, max_degree", [
+    ("random", 20000, 1, (364671, 66212), 11),
+    ("random", 20000, 2, (372200, 66450), 11),
+    ("competition", 5000, 0, (117451, 39803), 12),
+    ("ascending", 5000, 0, (29996, 4999), 0),
+])
+def test_fibonacci_step_counts_are_frozen(mode, n, seed, steps, max_degree):
+    """The baseline's cost measure, pinned on test_step_counts_are_frozen's
+    four traces: (link writes, comparisons) and the peak degree."""
+    h = FibonacciHeap()
+    replay(iter_workload(mode, n, seed), h, collect_output=False)
+    c = h.counters
+    assert (c.link_writes, c.comparisons) == steps
+    assert h.max_degree_seen == max_degree
+
+
+# ------------------------------------- inline surgery against helper calls
+
+class CallFibonacciHeap(FibonacciHeap):
+    """Every ring move, histogram update and check made through a helper
+    call, every step counted where it is taken, and the cascade of cuts
+    made by _cascading_cut after _cut: the helper form that the heap's
+    inline surgery is checked against."""
+
+    def key_of(self, v):
+        self._check_handle(v)
+        return v.key
+
+    def _require_alive(self):
+        if self._consumed:
+            raise StaleHandleError("heap was consumed by meld")
+
+    def _check_handle(self, v):
+        if not isinstance(v, FibNode) or v not in self._live:
+            raise StaleHandleError("dead or foreign handle: %r" % (v,))
+
+    def _hist_inc(self, d):
+        h = self._deg_hist
+        while d >= len(h):
+            h.extend([0] * len(h))
+        h[d] += 1
+        if d > self.max_degree_seen:
+            self.max_degree_seen = d
+
+    def _hist_dec(self, d):
+        self._deg_hist[d] -= 1
+        assert self._deg_hist[d] >= 0
+
+    def _set_degree(self, v, d):
+        self._hist_dec(v.degree)
+        v.degree = d
+        self._hist_inc(d)
+
+    def _splice_out(self, v):
+        v.left.right = v.right
+        v.right.left = v.left
+        v.left = v
+        v.right = v
+        self.counters.link_writes += 4
+
+    def _ring_insert(self, anchor, v):
+        """Insert detached singleton v immediately left of anchor."""
+        a = anchor.left
+        a.right = v
+        v.left = a
+        v.right = anchor
+        anchor.left = v
+        self.counters.link_writes += 4
+
+    def _ring_concat(self, x, y):
+        """Merge the disjoint rings containing x and y."""
+        xr = x.right
+        yr = y.right
+        x.right = yr
+        yr.left = x
+        y.right = xr
+        xr.left = y
+        self.counters.link_writes += 4
+
+    def insert(self, key):
+        self._require_alive()
+        v = FibNode(key)
+        self.counters.link_writes += 2  # left=self, right=self
+        self._live.add(v)
+        self._hist_inc(0)
+        if self._min is None:
+            self._min = v
+        else:
+            self._ring_insert(self._min, v)
+            self.counters.comparisons += 1
+            if v.key < self._min.key:
+                self._min = v
+        self._size += 1
+        return v
+
+    def find_min(self):
+        self._require_alive()
+        if self._min is None:
+            raise EmptyHeapError("find_min on empty heap")
+        return self._min
+
+    def delete_min(self):
+        self._require_alive()
+        m = self._min
+        if m is None:
+            raise EmptyHeapError("delete_min on empty heap")
+        c = self.counters
+        child = m.child
+        if child is not None:
+            kids = [child]
+            x = child.right
+            while x is not child:
+                kids.append(x)
+                x = x.right
+            for k in kids:
+                k.parent = None
+                k.marked = False
+            c.link_writes += len(kids)  # parent clears
+            m.child = None
+            c.link_writes += 1
+            self._ring_concat(m, child)
+        self._live.discard(m)
+        self._hist_dec(m.degree)
+        self._size -= 1
+        if m.right is m:
+            self._min = None
+            return m.key
+        start = m.right
+        self._splice_out(m)
+        roots = [start]
+        x = start.right
+        while x is not start:
+            roots.append(x)
+            x = x.right
+        degs = [None] * 8
+        for w in roots:
+            x = w
+            d = x.degree
+            while True:
+                while d >= len(degs):
+                    degs.extend([None] * len(degs))
+                occ = degs[d]
+                if occ is None:
+                    degs[d] = x
+                    break
+                degs[d] = None
+                c.comparisons += 1
+                if occ.key <= x.key:
+                    winner, loser = occ, x
+                else:
+                    winner, loser = x, occ
+                self._splice_out(loser)
+                loser.parent = winner
+                c.link_writes += 1
+                if winner.child is None:
+                    winner.child = loser
+                    c.link_writes += 1
+                else:
+                    self._ring_insert(winner.child, loser)
+                self._set_degree(winner, winner.degree + 1)
+                x = winner
+                d = x.degree
+        new_min = None
+        for d in range(len(degs)):
+            node = degs[d]
+            if node is None:
+                continue
+            degs[d] = None
+            if new_min is None:
+                new_min = node
+            else:
+                c.comparisons += 1
+                if node.key < new_min.key:
+                    new_min = node
+        self._min = new_min
+        return m.key
+
+    def decrease_key(self, v, new_key):
+        self._require_alive()
+        self._check_handle(v)
+        if new_key > v.key:
+            raise KeyIncreaseError(
+                "decrease_key %r -> %r is an increase" % (v.key, new_key))
+        v.key = new_key
+        p = v.parent
+        if p is not None:
+            self.counters.comparisons += 1
+            if v.key < p.key:
+                self._cut(v)
+                self._cascading_cut(p)
+        self.counters.comparisons += 1
+        if v.key < self._min.key:
+            self._min = v
+
+    def delete(self, v):
+        self._require_alive()
+        self._check_handle(v)
+        p = v.parent
+        if p is not None:
+            self._cut(v)
+            self._cascading_cut(p)
+        self._min = v
+        self.delete_min()
+
+    def _cut(self, v):
+        c = self.counters
+        p = v.parent
+        if v.right is v:
+            p.child = None
+            c.link_writes += 1
+        else:
+            if p.child is v:
+                p.child = v.right
+                c.link_writes += 1
+            self._splice_out(v)
+        v.parent = None
+        c.link_writes += 1
+        self._set_degree(p, p.degree - 1)
+        v.marked = False
+        self._ring_insert(self._min, v)
+
+    def _cascading_cut(self, y):
+        while True:
+            p = y.parent
+            if p is None:
+                return
+            if not y.marked:
+                y.marked = True
+                return
+            self._cut(y)
+            y = p
+
+    def meld(self, other):
+        self._require_alive()
+        other._require_alive()
+        if other is self:
+            raise ValueError("meld of a heap with itself")
+        if other._min is not None:
+            if self._min is None:
+                self._min = other._min
+            else:
+                self._ring_concat(self._min, other._min)
+                self.counters.comparisons += 1
+                if other._min.key < self._min.key:
+                    self._min = other._min
+        self._size += other._size
+        self._live |= other._live
+        oh = other._deg_hist
+        for d in range(len(oh)):
+            if oh[d]:
+                h = self._deg_hist
+                while d >= len(h):
+                    h.extend([0] * len(h))
+                h[d] += oh[d]
+        if other.max_degree_seen > self.max_degree_seen:
+            self.max_degree_seen = other.max_degree_seen
+        co, cs = other.counters, self.counters
+        cs.link_writes += co.link_writes
+        cs.comparisons += co.comparisons
+        other._min = None
+        other._size = 0
+        other._live = set()
+        other._consumed = True
+        return self
+
+
+def ring_state(h):
+    """The counters, degree histogram, peak degree and size, and the root
+    ring's (key, degree, marked) in ring order from the min."""
+    c = h.counters
+    return (c.link_writes, c.comparisons, tuple(h._deg_hist),
+            h.max_degree_seen, h.size,
+            tuple((r.key, r.degree, r.marked) for r in h.roots()))
+
+
+def forest(h):
+    """Every ring of the heap, nested, with keys, degrees and marks."""
+    def ring(start):
+        out = []
+        x = start
+        while x is not None:
+            out.append((x.key, x.degree, x.marked, ring(x.child)))
+            x = x.right
+            if x is start:
+                break
+        return tuple(out)
+    return ring(h._min)
+
+
+@pytest.mark.parametrize("mode, n, seeds", [
+    ("random", 3000, range(1, 9)),
+    ("competition", 2000, [0]),
+    ("ascending", 2000, [0]),
+])
+def test_inline_surgery_matches_helper_calls(mode, n, seeds):
+    for seed in seeds:
+        events = list(iter_workload(mode, n, seed))
+        states = []
+        ref = CallFibonacciHeap()
+        ref_out = replay(events, ref,
+                         after=lambda i, ev: states.append(ring_state(ref)))
+        h = FibonacciHeap()
+
+        def same_state(i, ev):
+            assert ring_state(h) == states[i], (seed, i, ev)
+
+        assert replay(events, h, after=same_state) == ref_out
+        assert forest(h) == forest(ref)
+        h.validate()
+
+
+def error_of(call):
+    try:
+        call()
+    except Exception as e:  # the error itself is compared
+        return type(e), str(e)
+    return None
+
+
+@pytest.mark.parametrize("misuse", ["foreign", "stale", "consumed",
+                                    "increase"])
+def test_misuse_raises_as_the_helper_form_does(misuse):
+    """Each misuse raises the error the helper form raises, and leaves the
+    counters, the size and every ring as they were."""
+    outcomes = []
+    for cls in (CallFibonacciHeap, FibonacciHeap):
+        h = cls()
+        hs = [h.insert(k) for k in range(20)]
+        h.delete_min()
+        dead = hs[0]
+        h.decrease_key(hs[9], -5)  # a cut, and a marked parent
+        other = cls()
+        foreign = [other.insert(k) for k in range(8)]
+        other.delete_min()
+        target = h
+        if misuse == "foreign":
+            v = foreign[5]
+        elif misuse == "stale":
+            v = dead
+        elif misuse == "consumed":
+            taker = cls()
+            taker.meld(h)
+            target, v = h, hs[3]
+        else:
+            v = hs[12]
+        before = (ring_state(target), forest(target))
+        new_key = v.key + 1 if misuse == "increase" else -100
+        calls = [lambda: target.decrease_key(v, new_key)]
+        if misuse != "increase":
+            calls += [lambda: target.delete(v), lambda: target.key_of(v)]
+        if misuse == "consumed":
+            calls += [lambda: target.insert(1), target.find_min,
+                      target.delete_min, lambda: target.meld(cls()),
+                      lambda: cls().meld(target)]
+        errors = [error_of(call) for call in calls]
+        assert all(e is not None for e in errors), errors
+        assert (ring_state(target), forest(target)) == before
+        outcomes.append(errors)
+    assert outcomes[0] == outcomes[1]
+
+
+# ------------------------------------------------- meld against the oracle
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("iiiimkkxd"), st.integers(0, 2),
+                          st.integers(0, 2), st.integers(0, 10**6)),
+                min_size=1, max_size=80))
+def test_interleaved_melds_match_oracle(ops):
+    """Three heaps, each beside an Oracle, under interleaved inserts,
+    decrease_keys, deletes, delete_mins and melds. A meld hands the donor's
+    handles to the taker and replaces the donor with a fresh heap; handles
+    must stay valid on their heap and be rejected by every other."""
+    heaps = [FibonacciHeap() for _ in range(3)]
+    oracles = [Oracle() for _ in range(3)]
+    owned = [[] for _ in range(3)]  # [node, oracle handle] pairs per heap
+    used = set()
+    for op, i, j, x in ops:
+        h, o, mine = heaps[i], oracles[i], owned[i]
+        if op == "i" or (op in "kxd" and not mine):
+            k = x
+            while k in used:
+                k += 1
+            used.add(k)
+            mine.append([h.insert(k), o.insert(k)])
+        elif op == "m":
+            if i == j:
+                continue
+            h.meld(heaps[j])
+            o.meld(oracles[j])
+            with pytest.raises(StaleHandleError):
+                heaps[j].insert(0)
+            mine += owned[j]
+            heaps[j], oracles[j], owned[j] = FibonacciHeap(), Oracle(), []
+        elif op == "k":
+            v, ho = mine[x % len(mine)]
+            k = o.key_of(ho) - 1 - x % 1000
+            while k in used:
+                k -= 1
+            used.add(k)
+            h.decrease_key(v, k)
+            o.decrease_key(ho, k)
+        elif op == "x":
+            v, ho = mine.pop(x % len(mine))
+            h.delete(v)
+            o.delete(ho)
+        else:
+            m = h.find_min()
+            assert h.delete_min() == o.delete_min()
+            mine[:] = [p for p in mine if p[0] is not m]
+        for hh, oo, own in zip(heaps, oracles, owned):
+            assert hh.size == oo.size == len(own)
+            assert {hh.key_of(v) for v, _ in own} == {
+                oo.key_of(ho) for _, ho in own}
+            if own:
+                assert hh.find_min().key == oo.key_of(oo.find_min())
+            hh.validate()
+        # every live handle is rejected by the heaps that do not own it
+        for a in range(3):
+            for b in range(3):
+                if a != b:
+                    for v, _ in owned[b][:3]:
+                        with pytest.raises(StaleHandleError):
+                            heaps[a].key_of(v)
+
+
+def test_meld_keeps_the_larger_live_set():
+    """meld merges the smaller live set into the larger, whichever heap
+    holds it, so a meld costs the smaller heap's size, not the sum."""
+    for small_first in (True, False):
+        small, big = FibonacciHeap(), FibonacciHeap()
+        hs = [small.insert(k) for k in (7, 3)]
+        hb = [big.insert(k) for k in range(10, 60)]
+        third = FibonacciHeap().insert(1)
+        taker, donor = (small, big) if small_first else (big, small)
+        big_live = big._live
+        taker.meld(donor)
+        assert taker._live is big_live and len(big_live) == 52
+        assert donor._live == set() and donor._live is not big_live
+        for v in hs + hb:
+            assert taker.key_of(v) == v.key
+        with pytest.raises(StaleHandleError):
+            taker.key_of(third)
+        taker.decrease_key(hb[-1], 0)
+        assert [taker.delete_min() for _ in range(3)] == [0, 3, 7]
+        taker.validate()
