@@ -484,9 +484,9 @@ _LOG_OPS = ("d", "x")
 class BudgetAudit:
     """Replay observer that charges each operation against its budget.
 
-    Pass before and after to trace.replay. For each event, with s = counted
-    analysis steps (comparisons + rank-rule applications + placings) and dW
-    the change of the weighted potential, it requires
+    Pass after to trace.replay. For each event, with s = counted analysis
+    steps (comparisons + rank-rule applications + placings) and dW the
+    change of the weighted potential, it requires
 
         s + dW <= budget_const                      for i, f, k (and meld)
         s + dW <= budget_log * (1 + log_beta n)     for d, x   (n pre-op)
@@ -495,9 +495,12 @@ class BudgetAudit:
     When rows is a list, a (op, s, dW, n_before, charge, bound) row is
     appended per event; that is the calibration hook.
 
-    The potential is read from the heap's incremental tallies (O(roots) per
-    op); verify_tallies pins those to a full recount during fuzzing, so the
-    budget audit can afford to trust them here.
+    One potential read per event: each event is charged against the
+    snapshot (W, analysis steps, size) the previous one left, the first
+    taken by __init__. So the charges telescope to the change in steps plus
+    W_end - W_0, and a heap change made between events is charged to the
+    next. W comes from the heap's incremental tallies; verify_tallies pins
+    those to a full recount during fuzzing, so the audit can trust them.
     """
 
     __slots__ = ("heap", "model", "rows", "violations", "_w", "_s", "_n")
@@ -507,9 +510,6 @@ class BudgetAudit:
         self.model = model if model is not None else CostModel()
         self.rows = rows
         self.violations = []
-
-    def before(self, idx, ev):
-        heap = self.heap
         self._w = self.model.weighted(heap.potentials())
         self._s = heap.arena.counters.analysis_steps
         self._n = heap.size
@@ -517,8 +517,9 @@ class BudgetAudit:
     def after(self, idx, ev):
         heap = self.heap
         model = self.model
+        w = model.weighted(heap.potentials())
         s = heap.arena.counters.analysis_steps - self._s
-        dw = model.weighted(heap.potentials()) - self._w
+        dw = w - self._w
         charge = s + dw
         op = ev[0]
         if op in _LOG_OPS:
@@ -531,6 +532,7 @@ class BudgetAudit:
             self.violations.append(Violation(
                 "budget", op=op, index=idx, steps=s, dW=dw,
                 charge=charge, bound=round(bound, 3)))
+        self._w, self._s, self._n = w, self._s + s, heap.size
 
 
 def audit_amortized(events, model=None, stats_out=None):
@@ -541,5 +543,5 @@ def audit_amortized(events, model=None, stats_out=None):
     """
     heap = PadovanHeap()
     audit = BudgetAudit(heap, model, stats_out)
-    replay(events, heap, before=audit.before, after=audit.after)
+    replay(events, heap, after=audit.after)
     return audit.violations

@@ -105,7 +105,7 @@ def _audited_replay(events, heap):
         if violations:
             raise _AuditFailure(violations, idx, ev)
 
-    return replay(events, heap, before=budget.before, after=after)
+    return replay(events, heap, after=after)
 
 
 def _cmd_run(args):

@@ -28,6 +28,7 @@ from .errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from .node_store import StepCounters
 
 _CONSUMED = "heap was consumed by meld"
+_BROKEN = "heap was dropped: a key comparison raised in delete_min"
 _STALE = "dead or foreign handle: %r"
 
 
@@ -56,7 +57,7 @@ class FibonacciHeap:
         self._min = None
         self._size = 0
         self._live = set()  # the live FibNodes themselves
-        self._consumed = False
+        self._consumed = None  # or why every operation now raises
         self.counters = StepCounters()
         self.max_degree_seen = 0
         self._deg_hist = [0] * 8  # live-node count per degree
@@ -85,7 +86,7 @@ class FibonacciHeap:
 
     def insert(self, key):
         if self._consumed:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(self._consumed)
         v = FibNode(key)
         self._live.add(v)
         self._deg_hist[0] += 1
@@ -110,7 +111,7 @@ class FibonacciHeap:
 
     def find_min(self):
         if self._consumed:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(self._consumed)
         m = self._min
         if m is None:
             raise EmptyHeapError("find_min on empty heap")
@@ -118,7 +119,7 @@ class FibonacciHeap:
 
     def delete_min(self):
         if self._consumed:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(self._consumed)
         m = self._min
         if m is None:
             raise EmptyHeapError("delete_min on empty heap")
@@ -234,6 +235,10 @@ class FibonacciHeap:
                         if x.key < new_min.key:
                             new_min = x
             self._min = new_min
+        except BaseException:
+            # m is gone and the ring is half consolidated: drop the heap
+            self._drop(_BROKEN)
+            raise
         finally:
             c = self.counters
             c.link_writes += writes
@@ -243,7 +248,7 @@ class FibonacciHeap:
 
     def decrease_key(self, v, new_key):
         if self._consumed:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(self._consumed)
         if not isinstance(v, FibNode) or v not in self._live:
             raise StaleHandleError(_STALE % (v,))
         if new_key > v.key:
@@ -263,7 +268,7 @@ class FibonacciHeap:
 
     def delete(self, v):
         if self._consumed:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(self._consumed)
         if not isinstance(v, FibNode) or v not in self._live:
             raise StaleHandleError(_STALE % (v,))
         if v.parent is not None:
@@ -317,7 +322,7 @@ class FibonacciHeap:
 
     def meld(self, other):
         if self._consumed or other._consumed:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(self._consumed or other._consumed)
         if other is self:
             raise ValueError("meld of a heap with itself")
         cs = self.counters
@@ -357,11 +362,15 @@ class FibonacciHeap:
         co = other.counters
         cs.link_writes += co.link_writes
         cs.comparisons += co.comparisons
-        other._min = None
-        other._size = 0
-        other._live = set()
-        other._consumed = True
+        other._drop(_CONSUMED)
         return self
+
+    def _drop(self, reason):
+        """Empty the heap; every later operation raises reason."""
+        self._min = None
+        self._size = 0
+        self._live = set()
+        self._consumed = reason
 
     # -- checking ---------------------------------------------------------
 

@@ -11,10 +11,14 @@ from padovanheap.errors import StaleHandleError
 from padovanheap.node_store import (
     NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
 from padovanheap.auditor import (
-    CostModel, Violation, audit_amortized, audit_state, check_root_safety,
-    check_size_bounds, check_structure, children, compute_potentials,
-    iter_vertices, size_bound_table, verify_tallies)
+    BudgetAudit, CostModel, Violation, audit_amortized, audit_state,
+    check_root_safety, check_size_bounds, check_structure, children,
+    compute_potentials, iter_vertices, size_bound_table, verify_tallies)
 from padovanheap.trace import gen_workload, replay
+
+# The four traces whose step counts test_step_counts_are_frozen pins.
+FROZEN_TRACES = [("random", 20000, 1), ("random", 20000, 2),
+                 ("competition", 5000, 0), ("ascending", 5000, 0)]
 
 
 # ------------------------------------------------------------- potentials
@@ -350,6 +354,60 @@ def test_comparison_counter_matches_key_comparisons():
                                                      type(heap).__name__)
 
 
+def repeated_pairs(heap, events):
+    """Replay events with keys that record every compared pair, and
+    return how many pairs were compared again with both keys unchanged.
+    A decreased key is a new object, and every key stays alive in the
+    wrapped events, so an id pair names two unchanged keys."""
+    pairs = []
+
+    class Key:
+        __slots__ = ("value",)
+
+        def __init__(self, value):
+            self.value = value
+
+        def _pair(self, other):
+            a, b = id(self), id(other)
+            pairs.append((a, b) if a < b else (b, a))
+            return self.value, other.value
+
+        def __lt__(self, other):
+            a, b = self._pair(other)
+            return a < b
+
+        def __le__(self, other):
+            a, b = self._pair(other)
+            return a <= b
+
+        def __gt__(self, other):
+            a, b = self._pair(other)
+            return a > b
+
+        def __ge__(self, other):
+            a, b = self._pair(other)
+            return a >= b
+
+    wrapped = [("i", Key(ev[1])) if ev[0] == "i"
+               else ("k", ev[1], Key(ev[2])) if ev[0] == "k" else ev
+               for ev in events]
+    replay(wrapped, heap, collect_output=False)
+    assert pairs
+    return len(pairs) - len(set(pairs))
+
+
+def test_padovan_never_compares_unchanged_keys_twice():
+    """The paper's superexpensive-comparison principle: remember every
+    comparison's result. Fibonacci re-compares, so the count can fail."""
+    fib = []
+    for mode, n, seed in FROZEN_TRACES:
+        events = gen_workload(mode, n, seed)
+        assert repeated_pairs(PadovanHeap(), events) == 0, (mode, n, seed)
+        fib.append(repeated_pairs(FibonacciHeap(), events))
+    # ascending's inserts and one f never consolidate a Fibonacci heap
+    assert min(fib[:3]) > 0 and fib[3] == 0
+
+
 # ------------------------------------------------------- meld accounting
 
 def test_meld_shifts_weighted_potential_by_phi2_only():
@@ -416,6 +474,109 @@ def test_audit_amortized_insert_charge_is_flat():
     stats = []
     audit_amortized(events, stats_out=stats)
     assert max(charge for _, _, _, _, charge, _ in stats) <= 3
+
+
+class TwoSnapshotBudgetAudit:
+    """The budget audit with two potential reads per event, a snapshot
+    before each event and one after it: the reference that BudgetAudit,
+    which carries one snapshot forward, must match row for row and
+    violation for violation."""
+
+    def __init__(self, heap, model=None, rows=None):
+        self.heap = heap
+        self.model = model if model is not None else CostModel()
+        self.rows = rows
+        self.violations = []
+
+    def before(self, idx, ev):
+        heap = self.heap
+        self._w = self.model.weighted(heap.potentials())
+        self._s = heap.arena.counters.analysis_steps
+        self._n = heap.size
+
+    def after(self, idx, ev):
+        heap = self.heap
+        model = self.model
+        s = heap.arena.counters.analysis_steps - self._s
+        dw = model.weighted(heap.potentials()) - self._w
+        charge = s + dw
+        op = ev[0]
+        if op in ("d", "x"):
+            bound = model.log_budget(self._n)
+        else:
+            bound = model.budget_const
+        if self.rows is not None:
+            self.rows.append((op, s, dw, self._n, charge, bound))
+        if charge > bound:
+            self.violations.append(Violation(
+                "budget", op=op, index=idx, steps=s, dW=dw,
+                charge=charge, bound=round(bound, 3)))
+
+
+def run_budget_audit(cls, events, model=None, oob=None):
+    """Rows and violations of a cls audit on a fresh PadovanHeap; oob,
+    when given, runs on the heap after each event's audit."""
+    heap = PadovanHeap()
+    rows = []
+    audit = cls(heap, model, rows)
+
+    def after(idx, ev):
+        audit.after(idx, ev)
+        if oob is not None:
+            oob(idx, heap)
+
+    replay(events, heap, before=getattr(audit, "before", None), after=after)
+    return rows, audit.violations
+
+
+@pytest.mark.parametrize("model", [CostModel(),
+                                   CostModel(budget_const=0, budget_log=0)],
+                         ids=["default", "zero_budget"])
+@pytest.mark.parametrize("mode, n, seed", FROZEN_TRACES)
+def test_budget_audit_matches_two_snapshot_reference(mode, n, seed, model):
+    events = gen_workload(mode, n, seed)
+    rows = []
+    got = audit_amortized(events, model, rows)
+    ref_rows, ref_violations = run_budget_audit(TwoSnapshotBudgetAudit,
+                                                events, model)
+    assert len(rows) == len(events)
+    assert rows == ref_rows
+    assert [v.render() for v in got] == [v.render() for v in ref_violations]
+    if model.budget_const == 0:
+        assert got  # every event is over a zero budget
+
+
+def test_budget_charges_telescope():
+    """The charges sum to the change in analysis steps plus W_end - W_0."""
+    heap = PadovanHeap()
+    rows = []
+    audit = BudgetAudit(heap, rows=rows)
+    m = audit.model
+    s0 = heap.arena.counters.analysis_steps
+    w0 = m.weighted(heap.potentials())
+    replay(gen_workload("random", 20000, 1), heap, after=audit.after)
+    assert audit.violations == []
+    total = sum(charge for _, _, _, _, charge, _ in rows)
+    assert total == (heap.arena.counters.analysis_steps - s0
+                     + m.weighted(heap.potentials()) - w0)
+    assert total > 0
+
+
+def test_a_change_between_events_is_charged_to_the_next_event():
+    events = [("i", 5), ("i", 3), ("f",), ("i", 8)]
+
+    def oob(idx, heap):
+        if idx == 0:
+            heap.insert(9)  # out of band, between events 0 and 1
+
+    rows, _ = run_budget_audit(BudgetAudit, events, oob=oob)
+    ref_rows, _ = run_budget_audit(TwoSnapshotBudgetAudit, events, oob=oob)
+    # each insert of a fresh root adds t0 + t2 = 3 to W while the roots
+    # stay under plastic_cap; the reference never sees the key-9 insert
+    assert rows[0] == ref_rows[0] == ("i", 0, 3, 0, 3, 30)
+    assert ref_rows[1] == ("i", 0, 3, 2, 3, 30)
+    assert rows[1] == ("i", 0, 6, 1, 6, 30)
+    assert rows[2:] == ref_rows[2:]
 
 
 # ------------------------------------------- one walk, the same verdicts

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padovanheap import FibonacciHeap, FibNode, Oracle
+from padovanheap import FibonacciHeap, FibNode, Oracle, PadovanHeap
+from padovanheap.auditor import audit_state
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from padovanheap.trace import iter_workload, replay
 
@@ -529,6 +530,61 @@ def test_misuse_raises_as_the_helper_form_does(misuse):
         assert (ring_state(target), forest(target)) == before
         outcomes.append(errors)
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_raising_comparison_in_delete_min():
+    """A key comparison that raises inside delete_min drops a
+    FibonacciHeap, as meld drops its donor, so every later call fails
+    loudly. PadovanHeap's find_min raises before anything is removed, so
+    it stays whole."""
+    armed = [False]
+
+    class Key:
+        __slots__ = ("value",)
+
+        def __init__(self, value):
+            self.value = value
+
+        def _values(self, other):
+            if armed[0]:
+                raise RuntimeError("comparison refused")
+            return self.value, other.value
+
+        def __lt__(self, other):
+            a, b = self._values(other)
+            return a < b
+
+        def __le__(self, other):
+            a, b = self._values(other)
+            return a <= b
+
+        def __gt__(self, other):
+            a, b = self._values(other)
+            return a > b
+
+    for cls in (FibonacciHeap, PadovanHeap):
+        h = cls()
+        hs = [h.insert(Key(k)) for k in range(6)]
+        armed[0] = True
+        with pytest.raises(RuntimeError):
+            h.delete_min()
+        armed[0] = False
+        if cls is PadovanHeap:
+            assert h.size == 6 and audit_state(h) == []
+            assert h.key_of(h.find_min()).value == 0
+            assert [h.delete_min().value for _ in range(6)] == list(range(6))
+            continue
+        assert h.size == 0 and h.roots() == []
+        v = hs[3]
+        calls = [h.find_min, h.delete_min, lambda: h.insert(Key(9)),
+                 lambda: h.decrease_key(v, Key(-1)), lambda: h.delete(v),
+                 lambda: h.meld(cls()), lambda: cls().meld(h)]
+        for call in calls:
+            with pytest.raises(StaleHandleError,
+                               match="key comparison raised in delete_min"):
+                call()
+        with pytest.raises(StaleHandleError):
+            h.key_of(v)
 
 
 # ------------------------------------------------- meld against the oracle
