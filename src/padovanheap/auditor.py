@@ -203,7 +203,7 @@ def _walk(heap):
                 violations.append(Violation(
                     "broken_left_cycle", owner_key=owner.key, child_key=v.key))
             prev = v
-            # Arena.is_live(v), written out; a Node hashes by identity
+            # a live vertex of the arena; a Node hashes by identity
             if isinstance(v, Node) and v in live:
                 if v in seen:
                     violations.append(Violation("shared_vertex", key=v.key))

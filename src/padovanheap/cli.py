@@ -44,7 +44,7 @@ def _stats_row(impl, mode, n, ops, heap):
         max_rank = heap.max_rank_seen
         phis = heap.potentials()
     elif impl == "fibonacci":
-        total = heap.counters.link_writes + heap.counters.comparisons
+        total = heap.counters.total
         max_rank = heap.max_degree_seen
         phis = (0,) * 7
     else:  # the oracle does no pointer work worth modeling

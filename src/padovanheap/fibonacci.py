@@ -87,25 +87,27 @@ class FibonacciHeap:
     def insert(self, key):
         if self._consumed:
             raise StaleHandleError(self._consumed)
+        m = self._min
+        # compare before any change, so a comparison that raises leaves the
+        # heap as it was
+        new_min = m is None or key < m.key
         v = FibNode(key)
         self._live.add(v)
         self._deg_hist[0] += 1
         self._size += 1
-        m = self._min
         c = self.counters
         if m is None:
-            self._min = v
             c.link_writes += 2  # left=self, right=self
-            return v
-        # insert v left of the min
-        a = m.left
-        a.right = v
-        v.left = a
-        v.right = m
-        m.left = v
-        c.link_writes += 6
-        c.comparisons += 1
-        if key < m.key:
+        else:
+            # insert v left of the min
+            a = m.left
+            a.right = v
+            v.left = a
+            v.right = m
+            m.left = v
+            c.link_writes += 6
+            c.comparisons += 1
+        if new_min:
             self._min = v
         return v
 
@@ -254,16 +256,16 @@ class FibonacciHeap:
         if new_key > v.key:
             raise KeyIncreaseError(
                 "decrease_key %r -> %r is an increase" % (v.key, new_key))
-        v.key = new_key
+        # compare before any change, so a comparison that raises leaves the
+        # heap as it was
         p = v.parent
-        c = self.counters
-        if p is not None:
-            c.comparisons += 2
-            if new_key < p.key:
-                self._cut(v)
-        else:
-            c.comparisons += 1
-        if new_key < self._min.key:
+        cut = p is not None and new_key < p.key
+        new_min = new_key < self._min.key
+        v.key = new_key
+        self.counters.comparisons += 1 if p is None else 2
+        if cut:
+            self._cut(v)
+        if new_min:
             self._min = v
 
     def delete(self, v):

@@ -58,13 +58,14 @@ root it takes directly (the state a find_min leaves), any other root list it
 hands to find_min. Either way the root is safe, so it leaves without a probe.
 
 The hot list moves and probes are written out in the operation that makes
-them, so that each op's common case runs in one Python frame: find_min's
-joins and links (Arena.join_back and join_front on the root list), insert's
-Arena.alloc_back, _cut's Arena.position_probe, danger probes and join_back
-onto the root list, _remove_root's Arena.detach_promote and Arena.free, and
-the handle check (Arena.is_live) of key_of, decrease_key and delete. Each
-counts the link writes of Arena's table. Placing a child (Arena.move_front),
-the rank rules and make_safe stay calls.
+them, so that each op's common case runs in one Python frame: insert's
+append to the root list, find_min's joins and links, _cut's position probes,
+danger probes and move onto the root list, _remove_root's unlink, promotion
+and free, and the liveness check of key_of, decrease_key and delete. Each
+move counts the link writes of its row in Arena's table: insert is
+alloc_back, a join is join_back, a link is join_front, the cut's move is
+join_back, and a root removal is detach_promote. Placing a child
+(Arena.move_front), the rank rules and make_safe stay calls.
 """
 
 import math
@@ -131,7 +132,7 @@ class PadovanHeap:
         d = self._dummy
         if d is None:
             raise StaleHandleError(_CONSUMED)
-        # Arena.is_live(v), written out
+        # a live vertex of this arena; a non-Node handle may not even hash
         if v is d or not isinstance(v, Node) or v not in self.arena._live:
             raise StaleHandleError(_STALE % (v,))
         return v.key
@@ -250,7 +251,7 @@ class PadovanHeap:
         d = self._dummy
         nxt = v.right
         prev = v.left
-        # Arena.position_probe(v), written out
+        # v's position, by the among-the-last-two end test
         if nxt.right.left.left is v:
             # not among the last two: both neighbors are list members; the
             # owner stays unknown and its rank update is deferred (covered
@@ -269,7 +270,7 @@ class PadovanHeap:
                          or st == CRITICAL_INNER and r <= w0.rank + 1)
             else:
                 p_pre = False
-        # Arena.join_back(p, d, v), written out: 3 writes to unlink a sole
+        # the join_back row of Arena's table: 3 writes to unlink a sole
         # member, else 4, and 4 to append. The root list keeps v's tree
         # root, or other roots besides v, so it is never empty.
         if p is nxt:  # rightmost
@@ -299,7 +300,7 @@ class PadovanHeap:
             return
         while True:
             old = p.rank
-            # Arena.position_probe(p), written out. p's rank is about to
+            # p's position, by the end tests. p's rank is about to
             # change; when p is the rightmost child of a real parent, that
             # parent's danger test reads rho(p), so its state before this
             # iteration is probed now, for the next one.
@@ -387,7 +388,7 @@ class PadovanHeap:
         d = self._dummy
         if d is None:
             raise StaleHandleError(_CONSUMED)
-        # Arena.alloc_back(d, key), written out
+        # the alloc_back row of Arena's table
         a = self.arena
         v = Node(key)
         a._live.add(v)
@@ -486,8 +487,8 @@ class PadovanHeap:
                         w, loser = occ, w
                     else:
                         loser = occ
-                    # Arena.join_back(d, w, loser), written out: the loser
-                    # shares the root list with w, so it is never sole there
+                    # the join_back row of Arena's table: the loser shares
+                    # the root list with w, so it is never sole there
                     if loser.right is d:  # rightmost
                         prev = loser.left
                         prev.right = d
@@ -539,8 +540,8 @@ class PadovanHeap:
                     winner, loser = y, x
                 else:
                     winner, loser = x, y
-                # Arena.join_front(d, winner, loser), written out: at least
-                # two roots remain, so the loser is never sole
+                # the join_front row of Arena's table: at least two roots
+                # remain, so the loser is never sole
                 if loser.right is d:  # rightmost
                     prev = loser.left
                     prev.right = d
@@ -615,7 +616,7 @@ class PadovanHeap:
         d = self._dummy
         if d is None:
             raise StaleHandleError(_CONSUMED)
-        # Arena.is_live(v), written out
+        # a live vertex of this arena; a non-Node handle may not even hash
         if v is d or not isinstance(v, Node) or v not in self.arena._live:
             raise StaleHandleError(_STALE % (v,))
         if new_key > v.key:
@@ -628,7 +629,7 @@ class PadovanHeap:
         d = self._dummy
         if d is None:
             raise StaleHandleError(_CONSUMED)
-        # Arena.is_live(v), written out
+        # a live vertex of this arena; a non-Node handle may not even hash
         if v is d or not isinstance(v, Node) or v not in self.arena._live:
             raise StaleHandleError(_STALE % (v,))
         self._cut(v)
@@ -641,8 +642,8 @@ class PadovanHeap:
     def _remove_root(self, m):
         """Free root m; the caller has taken m off the danger tally.
 
-        Arena.detach_promote(d, m) and Arena.free(m), written out: m's
-        children become roots at the right end, in order, in O(1).
+        The detach_promote row of Arena's table, then Arena.free, written
+        out: m's children become roots at the right end, in order, in O(1).
         """
         d = self._dummy
         a = self.arena

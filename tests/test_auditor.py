@@ -16,6 +16,8 @@ from padovanheap.auditor import (
     compute_potentials, iter_vertices, size_bound_table, verify_tallies)
 from padovanheap.trace import gen_workload, replay
 
+from list_model import is_live
+
 # The four traces whose step counts test_step_counts_are_frozen pins.
 FROZEN_TRACES = [("random", 20000, 1), ("random", 20000, 2),
                  ("competition", 5000, 0), ("ascending", 5000, 0)]
@@ -92,7 +94,7 @@ def test_verify_tallies_clean_then_corrupted():
     for _ in range(120):
         h.delete_min()
     for v in rng.sample(hs, 40):
-        if h.arena.is_live(v):
+        if is_live(h.arena, v):
             h.decrease_key(v, v.key - 10**6)
     assert verify_tallies(h) == []
     h._rank_sum += 1  # sabotage the incremental tally
@@ -294,7 +296,7 @@ def test_comparisons_only_between_roots():
     for _ in range(80):
         h.delete_min()
     for v in hs:
-        if h.arena.is_live(v):
+        if is_live(h.arena, v):
             key = Key(v.key.value - 10**5)
             key.vertex = v
             h.decrease_key(v, key)
@@ -723,7 +725,8 @@ def test_one_walk_audit_matches_separate_walks_on_corrupted_states():
 #
 # frozen_walk and frozen_audit are the one-walk audit as it stood when its
 # maps were keyed by id() and it called _rho and _is_dangerous per vertex,
-# except that a negative rank gets no size bound, as in the audit. The
+# except that a negative rank gets no size bound, as in the audit, and that
+# its liveness test, then an Arena method, is list_model.is_live. The
 # faster audit must give the same four outputs, in the same order.
 
 def _frozen_is_dangerous(v):
@@ -736,7 +739,7 @@ def _frozen_is_dangerous(v):
 
 
 def frozen_walk(heap):
-    is_live = heap.arena.is_live
+    arena = heap.arena
     d = heap.dummy
     cap = heap.size + 1
     violations = []
@@ -772,7 +775,7 @@ def frozen_walk(heap):
             if id(v) in seen:
                 violations.append(Violation("shared_vertex", key=v.key))
                 continue
-            if not is_live(v):
+            if not is_live(arena, v):
                 violations.append(Violation("dead_vertex", key=v.key))
             seen[id(v)] = v
             if v.child is not None:

@@ -252,17 +252,17 @@ class CallFibonacciHeap(FibonacciHeap):
 
     def insert(self, key):
         self._require_alive()
+        m = self._min
+        new_min = m is None or key < m.key  # compared before any change
         v = FibNode(key)
         self.counters.link_writes += 2  # left=self, right=self
         self._live.add(v)
         self._hist_inc(0)
-        if self._min is None:
-            self._min = v
-        else:
-            self._ring_insert(self._min, v)
+        if m is not None:
+            self._ring_insert(m, v)
             self.counters.comparisons += 1
-            if v.key < self._min.key:
-                self._min = v
+        if new_min:
+            self._min = v
         self._size += 1
         return v
 
@@ -354,15 +354,18 @@ class CallFibonacciHeap(FibonacciHeap):
         if new_key > v.key:
             raise KeyIncreaseError(
                 "decrease_key %r -> %r is an increase" % (v.key, new_key))
-        v.key = new_key
+        # both comparisons before any change
         p = v.parent
+        cut = p is not None and new_key < p.key
+        new_min = new_key < self._min.key
+        v.key = new_key
         if p is not None:
             self.counters.comparisons += 1
-            if v.key < p.key:
+            if cut:
                 self._cut(v)
                 self._cascading_cut(p)
         self.counters.comparisons += 1
-        if v.key < self._min.key:
+        if new_min:
             self._min = v
 
     def delete(self, v):
@@ -532,43 +535,47 @@ def test_misuse_raises_as_the_helper_form_does(misuse):
     assert outcomes[0] == outcomes[1]
 
 
+class Key:
+    """A key whose comparisons raise while their operator is in refused, a
+    set that the test shares among its keys."""
+
+    __slots__ = ("value", "refused")
+
+    def __init__(self, value, refused):
+        self.value = value
+        self.refused = refused
+
+    def _values(self, other, op):
+        if op in self.refused:
+            raise RuntimeError("comparison refused")
+        return self.value, other.value
+
+    def __lt__(self, other):
+        a, b = self._values(other, "<")
+        return a < b
+
+    def __le__(self, other):
+        a, b = self._values(other, "<=")
+        return a <= b
+
+    def __gt__(self, other):
+        a, b = self._values(other, ">")
+        return a > b
+
+
 def test_a_raising_comparison_in_delete_min():
     """A key comparison that raises inside delete_min drops a
     FibonacciHeap, as meld drops its donor, so every later call fails
     loudly. PadovanHeap's find_min raises before anything is removed, so
     it stays whole."""
-    armed = [False]
-
-    class Key:
-        __slots__ = ("value",)
-
-        def __init__(self, value):
-            self.value = value
-
-        def _values(self, other):
-            if armed[0]:
-                raise RuntimeError("comparison refused")
-            return self.value, other.value
-
-        def __lt__(self, other):
-            a, b = self._values(other)
-            return a < b
-
-        def __le__(self, other):
-            a, b = self._values(other)
-            return a <= b
-
-        def __gt__(self, other):
-            a, b = self._values(other)
-            return a > b
-
+    refused = set()
     for cls in (FibonacciHeap, PadovanHeap):
         h = cls()
-        hs = [h.insert(Key(k)) for k in range(6)]
-        armed[0] = True
+        hs = [h.insert(Key(k, refused)) for k in range(6)]
+        refused.update(("<", "<=", ">"))
         with pytest.raises(RuntimeError):
             h.delete_min()
-        armed[0] = False
+        refused.clear()
         if cls is PadovanHeap:
             assert h.size == 6 and audit_state(h) == []
             assert h.key_of(h.find_min()).value == 0
@@ -576,15 +583,55 @@ def test_a_raising_comparison_in_delete_min():
             continue
         assert h.size == 0 and h.roots() == []
         v = hs[3]
-        calls = [h.find_min, h.delete_min, lambda: h.insert(Key(9)),
-                 lambda: h.decrease_key(v, Key(-1)), lambda: h.delete(v),
-                 lambda: h.meld(cls()), lambda: cls().meld(h)]
+        calls = [h.find_min, h.delete_min, lambda: h.insert(Key(9, refused)),
+                 lambda: h.decrease_key(v, Key(-1, refused)),
+                 lambda: h.delete(v), lambda: h.meld(cls()),
+                 lambda: cls().meld(h)]
         for call in calls:
             with pytest.raises(StaleHandleError,
                                match="key comparison raised in delete_min"):
                 call()
         with pytest.raises(StaleHandleError):
             h.key_of(v)
+
+
+@pytest.mark.parametrize("op", ["insert", "decrease_key"])
+@pytest.mark.parametrize("cls", [FibonacciHeap, PadovanHeap])
+def test_a_raising_comparison_in_insert_or_decrease_key(cls, op):
+    """A `<` that raises inside insert, or inside decrease_key after the
+    increase test (a `>`) has passed, leaves the heap whole: FibonacciHeap
+    compares before it changes anything, and PadovanHeap makes no `<` in
+    either. The heap stays valid and find_min correct."""
+    refused = set()
+    h = cls()
+    hs = {k: h.insert(Key(k, refused)) for k in range(2, 10)}
+    h.insert(Key(1, refused))
+    assert h.delete_min().value == 1
+    live = set(hs)
+    if op == "insert":
+        old, new = None, 0
+        call = lambda: h.insert(Key(new, refused))
+    else:  # the largest key below a root
+        roots = h.roots()
+        old, new = max(k for k, v in hs.items() if v not in roots), -5
+        call = lambda: h.decrease_key(hs[old], Key(new, refused))
+    refused.add("<")
+    try:
+        call()
+    except RuntimeError:
+        assert cls is FibonacciHeap
+    else:
+        assert cls is PadovanHeap
+        live.discard(old)
+        live.add(new)
+    refused.clear()
+    if cls is FibonacciHeap:
+        assert h.validate() == len(live)
+    else:
+        assert audit_state(h) == []
+    assert h.size == len(live)
+    assert h.find_min().key.value == min(live)
+    assert [h.delete_min().value for _ in live] == sorted(live)
 
 
 # ------------------------------------------------- meld against the oracle

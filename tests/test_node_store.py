@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padovanheap.node_store import (
-    Arena, Node, LAST, NOT_LAST_TWO, SECOND_LAST,
-    NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED,
-    STATUS_NAMES)
+    Arena, Node, NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED,
+    OUTER_MISPLACED, STATUS_NAMES)
+
+from list_model import (
+    LAST, SECOND_LAST, among_last_two, detach, is_leftmost, is_live,
+    is_rightmost, keys, members, probe, push_back, push_front)
 
 
 def test_node_layout_is_exactly_six_fields():
@@ -19,90 +22,6 @@ def test_node_layout_is_exactly_six_fields():
 def test_status_codes():
     assert (NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED) == (0, 1, 2, 3)
     assert STATUS_NAMES == ("N", "C", "P", "M")
-
-
-# A reference model of the list moves in their plain two-step form: unlink
-# a vertex into a self-linked singleton (detach), then insert it at either
-# end of a list (push_front, push_back). Each counts its writes into
-# arena.counters; the Arena's one-call moves are checked against it.
-
-def detach(a, v, owner=None):
-    """Remove v from its list, leaving it a self-linked singleton. The owner
-    is needed only when v is rightmost."""
-    c = a.counters
-    if v.right.left is not v:  # rightmost; v.right is the owner
-        if owner is None:
-            raise ValueError("detach of a rightmost node requires the owner")
-        assert v.right is owner
-        if v.left is v:
-            owner.child = None
-            c.link_writes += 1
-        else:
-            new_last = v.left
-            new_last.right = owner
-            owner.child.left = new_last
-            c.link_writes += 2
-    elif v.left.right is not v:  # leftmost; v.left is the rightmost member
-        last = v.left
-        nxt = v.right
-        nxt.left = last
-        last.right.child = nxt
-        c.link_writes += 2
-    else:
-        prev = v.left
-        nxt = v.right
-        prev.right = nxt
-        nxt.left = prev
-        c.link_writes += 2
-    v.left = v
-    v.right = v
-    c.link_writes += 2
-
-
-def push_front(a, owner, v):
-    """Make singleton v the leftmost member of owner's list."""
-    first = owner.child
-    if first is None:
-        v.right = owner
-        owner.child = v
-        a.counters.link_writes += 2
-    else:
-        v.left = first.left
-        v.right = first
-        first.left = v
-        owner.child = v
-        a.counters.link_writes += 4
-
-
-def push_back(a, owner, v):
-    """Make singleton v the rightmost member of owner's list."""
-    first = owner.child
-    if first is None:
-        v.right = owner
-        owner.child = v
-        a.counters.link_writes += 2
-    else:
-        last = first.left
-        last.right = v
-        v.left = last
-        v.right = owner
-        first.left = v
-        a.counters.link_writes += 4
-
-
-def members(owner, bound=64):
-    """owner's list, leftmost first, following right links to the owner."""
-    out = []
-    v = owner.child
-    while v is not None and v is not owner:
-        out.append(v)
-        assert len(out) <= bound, "right chain does not close on the owner"
-        v = v.right
-    return out
-
-
-def keys(owner):
-    return [v.key for v in members(owner)]
 
 
 def test_push_front_and_back():
@@ -120,36 +39,48 @@ def test_push_front_and_back():
     assert z.right is p      # rightmost's right is the owner
 
 
+def make_list(a, owner, ks):
+    """Allocate a vertex per key and push each to the back of owner's list."""
+    vs = [a.alloc(k) for k in ks]
+    for v in vs:
+        push_back(a, owner, v)
+    return vs
+
+
 def test_end_tests_and_probe():
     a = Arena()
     p = a.alloc("p")
-    ns = [a.alloc_back(p, i) for i in range(4)]
-    n0, n1, n2, n3 = ns
-    # rightmost / leftmost link tests from the representation
+    n0, n1, n2, n3 = make_list(a, p, range(4))
+    # rightmost / leftmost / last-two link tests from the representation
     assert n3.right.left is not n3          # rightmost
     assert n0.left.right is not n0          # leftmost
     assert n1.right.left is n1 and n1.left.right is n1  # interior
-    assert a.position_probe(n0) == (NOT_LAST_TWO, None)
-    assert a.position_probe(n1) == (NOT_LAST_TWO, None)
-    assert a.position_probe(n2) == (SECOND_LAST, p)
-    assert a.position_probe(n3) == (LAST, p)
+    assert n2.right.right.left.left is not n2           # among the last two
+    assert n1.right.right.left.left is n1 and n0.right.right.left.left is n0
+    assert [(is_rightmost(v), is_leftmost(v), among_last_two(v))
+            for v in (n0, n1, n2, n3)] == [
+        (False, True, False), (False, False, False),
+        (False, False, True), (True, False, True)]
+    assert probe(n0) == probe(n1) == (None, None)
+    assert probe(n2) == (SECOND_LAST, p)
+    assert probe(n3) == (LAST, p)
 
 
 def test_probe_singleton_and_pair():
     a = Arena()
     d = a.alloc(None)  # self-linked owner, like the dummy head
-    u = a.alloc_back(d, "u")
-    assert a.position_probe(u) == (LAST, d)
-    v = a.alloc_back(d, "v")
-    assert a.position_probe(u) == (SECOND_LAST, d)
-    assert a.position_probe(v) == (LAST, d)
+    (u,) = make_list(a, d, ["u"])
+    assert is_rightmost(u) and is_leftmost(u)
+    assert probe(u) == (LAST, d)
+    (v,) = make_list(a, d, ["v"])
+    assert probe(u) == (SECOND_LAST, d)
+    assert probe(v) == (LAST, d)
 
 
 def test_detach_interior_leftmost_rightmost_sole():
     a = Arena()
     p = a.alloc("p")
-    ns = [a.alloc_back(p, i) for i in range(4)]
-    n0, n1, n2, n3 = ns
+    n0, n1, n2, n3 = make_list(a, p, range(4))
 
     detach(a, n1)  # interior, no owner needed
     assert keys(p) == [0, 2, 3]
@@ -213,15 +144,13 @@ def test_concat_cases_and_counts():
     a.concat(t, d)                 # donor empty: free
     assert c.link_writes - base == 0
 
-    for i in range(2):
-        a.alloc_back(d, i)
+    make_list(a, d, range(2))
     base = c.link_writes
     a.concat(t, d)                 # target empty: 3 writes
     assert c.link_writes - base == 3
     assert keys(t) == [0, 1] and d.child is None
 
-    for i in (2, 3):
-        a.alloc_back(d, i)
+    make_list(a, d, (2, 3))
     base = c.link_writes
     a.concat(t, d)                 # both nonempty: 5 writes
     assert c.link_writes - base == 5
@@ -234,13 +163,13 @@ def test_concat_cases_and_counts():
 def test_liveness_and_free():
     a = Arena()
     v = a.alloc(1)
-    assert a.is_live(v) and len(a._live) == 1
+    assert is_live(a, v) and len(a._live) == 1
     a.free(v)
-    assert not a.is_live(v) and len(a._live) == 0
+    assert not is_live(a, v) and len(a._live) == 0
     assert v.left is None and v.right is None and v.child is None
     with pytest.raises(AssertionError):
         a.free(v)
-    assert not a.is_live("not a node")
+    assert not is_live(a, "not a node")
 
 
 def _subtree(model, v):
@@ -252,24 +181,28 @@ def _subtree(model, v):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["ab", "jb", "jf", "mf", "dp"]),
+@given(st.lists(st.tuples(st.sampled_from(["ab", "ab", "mf", "cc", "fr"]),
                           st.integers(0, 20), st.integers(0, 20)),
                 max_size=40))
 def test_surgery_mirrors_a_plain_list(ops):
-    """Random one-call moves on a small forest against plain Python lists.
+    """Random moves on a small forest against plain Python lists: the
+    model's alloc + push_back, Arena's move_front and concat, and a removal
+    made as the model's detach, then concat of the children and free.
 
     Every vertex owns a list, so moves go between roots, children and
-    grandchildren. Each move's writes are priced by the two-step rule:
-    unlinking costs 1 for a sole member and 2 otherwise, plus 2 for the
-    singleton reset; inserting costs 2 into an empty list and 4 otherwise;
-    children appended by detach_promote cost 3 if they become the whole list
-    and 5 if not.
+    grandchildren. Each move's writes are priced by the model's two-step
+    rule: unlinking costs 1 for a sole member and 2 otherwise, plus 2 for
+    the singleton reset; inserting costs 2 into an empty list and 4
+    otherwise; a concat costs 3 into an empty list and 5 if not.
     """
     def unlink(size):
         return (1 if size == 1 else 2) + 2
 
     def insert(size):
         return 2 if size == 0 else 4
+
+    def append(size):
+        return 3 if size == 0 else 5
 
     a = Arena()
     p = a.alloc("p")
@@ -282,11 +215,27 @@ def test_surgery_mirrors_a_plain_list(ops):
             owners = list(model)
             o = owners[i % len(owners)]
             want = 2 + insert(len(model[o]))
-            v = a.alloc_back(o, n)
+            v = a.alloc(n)
+            push_back(a, o, v)
             n += 1
             model[o].append(v)
             model[v] = []
             where[v] = o
+        elif op == "cc":
+            owners = list(model)
+            u = owners[i % len(owners)]
+            below = _subtree(model, u)
+            targets = [t for t in owners if t not in below]
+            if not targets:
+                continue
+            t = targets[j % len(targets)]
+            kids = model[u]
+            want = append(len(model[t])) if kids else 0
+            a.concat(t, u)
+            model[t].extend(kids)
+            for w in kids:
+                where[w] = t
+            model[u] = []
         else:
             if not where:
                 continue
@@ -299,34 +248,19 @@ def test_surgery_mirrors_a_plain_list(ops):
                 want = unlink(len(lst)) + insert(len(lst) - 1)
                 a.move_front(o, v)
                 lst.insert(0, lst.pop(k))
-            elif op == "dp":
+            else:
                 kids = model.pop(v)
                 want = unlink(len(lst)) + (
-                    0 if not kids else 3 if len(lst) == 1 else 5)
-                a.detach_promote(o, v)
+                    append(len(lst) - 1) if kids else 0)
+                detach(a, v, o)
+                a.concat(o, v)
+                a.free(v)
+                assert not is_live(a, v)
                 del lst[k]
                 lst.extend(kids)
                 for w in kids:
                     where[w] = o
                 del where[v]
-                a.free(v)
-            else:
-                below = _subtree(model, v)
-                winners = [w for w in model if w is not o and w not in below]
-                if not winners or op == "jf" and len(lst) == 1:
-                    continue
-                w = winners[j % len(winners)]
-                want = unlink(len(lst)) + insert(len(model[w]))
-                if op == "jb":
-                    # the owner is needed only for a rightmost loser
-                    rightmost = k == len(lst) - 1
-                    a.join_back(o if rightmost or j % 2 else None, w, v)
-                    model[w].append(v)
-                else:
-                    a.join_front(o, w, v)
-                    model[w].insert(0, v)
-                del lst[k]
-                where[v] = w
         assert a.counters.link_writes - base == want, op
         for o, lst in model.items():
             ms = members(o)
@@ -346,54 +280,6 @@ def _links(nodes):
     return [(key(v.left), key(v.right), key(v.child)) for v in nodes]
 
 
-@pytest.mark.parametrize("fused, push", [("join_back", "push_back"),
-                                         ("join_front", "push_front")])
-def test_join_equals_detach_then_push(fused, push):
-    """Every loser position, every winner and winner list length: the fused
-    join leaves the same links and counts the same writes as the two-step
-    model. The winner is another member, as in find_min, or a vertex outside
-    the list, as when a cut moves a child to the root list; join_front's
-    winner may also be the owner itself, as in move_front. join_back also
-    takes a sole member and, where detach does, owner=None."""
-    back = fused == "join_back"
-    push = {"push_back": push_back, "push_front": push_front}[push]
-    for n_roots in range(1 if back else 2, 6):
-        for i in range(n_roots):
-            owners = ("d", None) if back and i < n_roots - 1 else ("d",)
-            winners = [k for k in range(n_roots) if k != i] + ["outside"]
-            if not back:
-                winners.append("owner")
-            for j in winners:
-                for n_kids in range(1 if j == "owner" else 3):
-                    for owner_arg in owners:
-                        results = []
-                        for form in ("fused", "two calls"):
-                            a = Arena()
-                            d = a.alloc("d")
-                            out = a.alloc("o")
-                            roots = [a.alloc_back(d, k) for k in range(n_roots)]
-                            loser = roots[i]
-                            winner = (d if j == "owner" else
-                                      out if j == "outside" else roots[j])
-                            kids = [a.alloc_back(winner, "k%d" % k)
-                                    for k in range(n_kids)]
-                            owner = d if owner_arg == "d" else None
-                            base = a.counters.link_writes
-                            if form == "fused":
-                                getattr(a, fused)(owner, winner, loser)
-                            else:
-                                detach(a, loser, owner)
-                                push(a, winner, loser)
-                            results.append((a.counters.link_writes - base,
-                                            _links([d, out] + roots + kids)))
-                        assert results[0] == results[1], (
-                            n_roots, i, j, n_kids, owner_arg)
-                        if n_roots == 1:  # a sole member: 3 + 2 or 3 + 4
-                            assert results[0][0] == (7 if n_kids else 5)
-                        if j == "owner":  # a move within the list
-                            assert results[0][0] == 8
-
-
 def test_move_front_equals_detach_then_push_front():
     """Every position in lists of 1 to 5 members, each member with a child:
     move_front leaves the same links and counts the same writes as detach +
@@ -404,8 +290,8 @@ def test_move_front_equals_detach_then_push_front():
             for form in ("fused", "two calls"):
                 a = Arena()
                 d = a.alloc("d")
-                vs = [a.alloc_back(d, k) for k in range(n)]
-                kids = [a.alloc_back(v, "k%d" % v.key) for v in vs]
+                vs = make_list(a, d, range(n))
+                kids = [make_list(a, v, ["k%d" % v.key])[0] for v in vs]
                 v = vs[i]
                 base = a.counters.link_writes
                 if form == "fused":
@@ -418,53 +304,3 @@ def test_move_front_equals_detach_then_push_front():
                                 _links([d] + vs + kids)))
             assert results[0] == results[1], (n, i)
             assert results[0][0] == (5 if n == 1 else 8)
-
-
-def test_alloc_back_equals_alloc_then_push_back():
-    for n in range(4):
-        results = []
-        for form in ("fused", "two calls"):
-            a = Arena()
-            p = a.alloc("p")
-            members = [a.alloc_back(p, k) for k in range(n)]
-            base = a.counters.link_writes
-            if form == "fused":
-                v = a.alloc_back(p, "v")
-            else:
-                v = a.alloc("v")
-                push_back(a, p, v)
-            assert a.is_live(v) and v.key == "v" and v.rank == 0
-            assert v.status == NONCRITICAL_INNER and v.child is None
-            results.append((a.counters.link_writes - base,
-                            _links([p] + members + [v]), len(a._live)))
-        assert results[0] == results[1], n
-        assert results[0][0] == (4 if n == 0 else 6)  # 2 + 2 or 2 + 4
-
-
-def test_detach_promote_equals_detach_then_concat():
-    """Every position, list length and child count: the fused root removal
-    leaves the same lists and counts the same writes as detach + concat.
-    The removed vertex's own links are not compared: it is freed next."""
-    for n_roots in range(1, 5):
-        for i in range(n_roots):
-            for n_kids in range(4):
-                results = []
-                for form in ("fused", "two calls"):
-                    a = Arena()
-                    d = a.alloc("d")
-                    roots = [a.alloc_back(d, k) for k in range(n_roots)]
-                    v = roots[i]
-                    kids = [a.alloc_back(v, "k%d" % k) for k in range(n_kids)]
-                    base = a.counters.link_writes
-                    if form == "fused":
-                        a.detach_promote(d, v)
-                    else:
-                        detach(a, v, d)
-                        a.concat(d, v)
-                    rest = roots[:i] + roots[i + 1:]
-                    assert members(d) == rest + kids
-                    results.append((a.counters.link_writes - base,
-                                    _links([d] + rest + kids)))
-                assert results[0] == results[1], (n_roots, i, n_kids)
-                if n_roots == 1:  # a lone root: 3 alone, 6 with children
-                    assert results[0][0] == (6 if n_kids else 3)

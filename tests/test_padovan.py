@@ -9,12 +9,14 @@ import pytest
 from padovanheap import (
     FibonacciHeap, PadovanHeap, Oracle, plastic_cap, STATUS_NAMES)
 from padovanheap.node_store import (
-    Arena, NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED,
-    LAST, NOT_LAST_TWO)
+    NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
 from padovanheap import oracle
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from padovanheap.auditor import audit_state, check_root_safety, children
 from padovanheap.trace import iter_workload, replay
+
+from list_model import (
+    LAST, detach, is_live, probe, push_back, push_front)
 
 
 def shape(h):
@@ -152,8 +154,9 @@ def test_decrease_key_equal_key_allowed():
 
 
 def test_decrease_key_not_last_two_is_local():
-    # root 1 with children ranks 0,1,2: the rank-0 child is NOT_LAST_TWO,
-    # so cutting it flips it to misplaced-at-front with no rank work
+    # root 1 with children ranks 0,1,2: the rank-0 child is not among the
+    # last two, so cutting it flips it to misplaced-at-front with no rank
+    # work
     h = PadovanHeap()
     hs = {k: h.insert(k) for k in range(1, 9)}
     h.find_min()
@@ -297,7 +300,7 @@ def test_delete_internal_promotes_children():
     assert five.child is not None
     h.delete(five)
     assert h.size == 7
-    assert not h.arena.is_live(five)
+    assert not is_live(h.arena, five)
     audit_clean(h)
     out = []
     while not h.is_empty():
@@ -429,7 +432,6 @@ def test_non_node_handles_are_stale(cls, monkeypatch):
             with pytest.raises(StaleHandleError):
                 call()
     assert heap_digest(h) == before
-    assert Arena().is_live([]) is False
 
 
 @pytest.mark.parametrize("cls", [PadovanHeap, FibonacciHeap])
@@ -528,21 +530,23 @@ def test_rank_stays_logarithmic():
     assert h.max_rank_seen <= plastic_cap(4000) + 3
 
 
-# ------------------------------------- inline surgery against Arena calls
+# --------------------------- inline surgery against the two-step list model
 
-class ArenaCallHeap(PadovanHeap):
-    """Every list move and probe made through an Arena call: find_min's
-    joins and links through Arena.join_back and join_front, with the bucket
-    cleanup walk after phase 1; delete_min always through find_min; insert
-    through Arena.alloc_back; _cut through Arena.position_probe,
-    _is_dangerous and Arena.join_back; _remove_root through
-    Arena.detach_promote and Arena.free; and the handle checks through
-    Arena.is_live. The reference that the heap's inline surgery is checked
-    against."""
+class TwoStepHeap(PadovanHeap):
+    """Every list move made as calls, in list_model's two-step form:
+    insert through Arena.alloc + push_back; find_min's joins and links
+    through detach + push_back and detach + push_front, with the bucket
+    cleanup walk after phase 1; delete_min always through find_min; _cut
+    through the model's probe, _is_dangerous and detach + push_back;
+    placing a child through detach + push_front; _remove_root through
+    detach, Arena.concat and Arena.free; and the handle checks through the
+    model's is_live. Each call counts its own writes, so this heap counts
+    by Arena's table by construction. The reference that the heap's inline
+    surgery is checked against."""
 
     def _check_handle(self, v):
         d = self._require_alive()
-        if v is d or not self.arena.is_live(v):
+        if v is d or not is_live(self.arena, v):
             raise StaleHandleError("dead or foreign handle: %r" % (v,))
 
     def key_of(self, v):
@@ -551,7 +555,8 @@ class ArenaCallHeap(PadovanHeap):
 
     def insert(self, key):
         d = self._require_alive()
-        v = self.arena.alloc_back(d, key)
+        v = self.arena.alloc(key)
+        push_back(self.arena, d, v)
         self._stat_tally[NONCRITICAL_INNER] += 1
         self._size += 1
         return v
@@ -571,9 +576,18 @@ class ArenaCallHeap(PadovanHeap):
             self._dangerous -= 1
         self._remove_root(v)
 
+    def _place(self, owner, w):
+        a = self.arena
+        detach(a, w, owner)
+        push_front(a, owner, w)
+        self._set_status(w, OUTER_PLACED)
+        a.counters.placings += 1
+
     def _remove_root(self, m):
         a = self.arena
-        a.detach_promote(self._dummy, m)
+        d = self._dummy
+        detach(a, m, d)
+        a.concat(d, m)
         self._stat_tally[m.status] -= 1
         self._rank_sum -= m.rank
         self._size -= 1
@@ -583,17 +597,19 @@ class ArenaCallHeap(PadovanHeap):
         a = self.arena
         d = self._dummy
         dang = self._is_dangerous
-        code, p = a.position_probe(v)
-        if code == NOT_LAST_TWO:
-            a.join_back(None, d, v)
+        code, p = probe(v)
+        if code is None:
+            detach(a, v)
+            push_back(a, d, v)
             return
         if p.right is p:
             return
         p_pre = dang(p)
-        a.join_back(p, d, v)
+        detach(a, v, p)
+        push_back(a, d, v)
         while True:
             old = p.rank
-            code, g = a.position_probe(p)
+            code, g = probe(p)
             watch = code == LAST and g.right is not g
             if watch:
                 g_pre = dang(g)
@@ -605,7 +621,7 @@ class ArenaCallHeap(PadovanHeap):
             stop = True
             if delta == 0:
                 pass
-            elif code == NOT_LAST_TWO:
+            elif code is None:
                 st = p.status
                 if st == NONCRITICAL_INNER:
                     self._set_status(
@@ -634,8 +650,7 @@ class ArenaCallHeap(PadovanHeap):
         x = d.child
         if x.left is x and not self._is_dangerous(x):
             return x
-        join_back = self.arena.join_back
-        join_front = self.arena.join_front
+        a = self.arena
         buckets = self._buckets
         t = self._stat_tally
         top = self.max_rank_seen
@@ -662,7 +677,8 @@ class ArenaCallHeap(PadovanHeap):
                         w, loser = occ, w
                     else:
                         loser = occ
-                    join_back(d, w, loser)
+                    detach(a, loser, d)
+                    push_back(a, w, loser)
                     t[loser.status] -= 1
                     loser.status = NONCRITICAL_INNER
                     joins += 1
@@ -684,7 +700,8 @@ class ArenaCallHeap(PadovanHeap):
                     winner, loser = y, x
                 else:
                     winner, loser = x, y
-                join_front(d, winner, loser)
+                detach(a, loser, d)
+                push_front(a, winner, loser)
                 t[loser.status] -= 1
                 loser.status = OUTER_PLACED
                 links += 1
@@ -693,7 +710,7 @@ class ArenaCallHeap(PadovanHeap):
             buckets[:] = [None] * len(buckets)
             raise
         finally:
-            self.arena.counters.comparisons += joins + links
+            a.counters.comparisons += joins + links
             t[NONCRITICAL_INNER] += joins
             t[OUTER_PLACED] += links
             self._rank_sum += joins
@@ -741,7 +758,7 @@ def test_inline_surgery_matches_arena_calls(mode, n, seeds):
     for seed in seeds:
         events = list(iter_workload(mode, n, seed))
         digests = []
-        ref = ArenaCallHeap()
+        ref = TwoStepHeap()
         ref_out = replay(events, ref,
                          after=lambda i, ev: digests.append(state_digest(ref)))
         h = PadovanHeap()
