@@ -2,9 +2,12 @@
 
 Everything here recomputes its answers from the raw forest — it never trusts
 the heap's own incremental tallies (those are what verify_tallies checks).
-Every check reads one iterative link walk that follows no child list for
-more than heap.size + 1 hops, so corrupted links cannot hang the auditor;
-children and iter_vertices trust links and are for sound heaps.
+Every check is made in one iterative link walk that follows no child list
+for more than heap.size + 1 hops, so corrupted links cannot hang the
+auditor. The walk checks each vertex when it reaches it, and each owner's
+rank rules once the owner's child list is in hand; only the active-closure
+sizes take a second, reverse pass over the owners. children and
+iter_vertices trust links and are for sound heaps.
 
 The amortized side mechanizes the accounting that makes the heap work:
 seven potentials
@@ -28,6 +31,7 @@ the potentials were designed to pay for.
 """
 
 import math
+from operator import add
 
 from .node_store import (
     NONCRITICAL_INNER,
@@ -118,6 +122,20 @@ def size_bound_table(max_rank):
     return P
 
 
+_TALLY_FIELDS = ("_rank_sum",) + tuple("_stat_tally[%d]" % i
+                                       for i in range(4))
+_size_bounds = size_bound_table(2)
+
+
+def _bounds(max_rank):
+    """The module's size_bound_table, regrown to reach max_rank."""
+    global _size_bounds
+    if max_rank >= len(_size_bounds):
+        # a new list, so a reader holding the old one still reads it whole
+        _size_bounds = size_bound_table(max(max_rank, 2 * len(_size_bounds)))
+    return _size_bounds
+
+
 def _rho(v):
     return v.rank + 1 if v.status == CRITICAL_INNER else v.rank
 
@@ -156,30 +174,47 @@ def iter_vertices(heap):
             stack.extend(reversed(children(v)))
 
 
-def _walk(heap):
-    """Pass 1 of check_structure: the one link walk every check reads.
+def _audit(heap, table=None):
+    """Audit the forest in one bounded walk; every check is made in it.
 
-    No child list is followed for more than heap.size + 1 hops, and a
-    broken list is not descended into, so corrupted links cannot hang the
-    auditor. Returns (violations, seen, lists): seen holds every vertex
-    reached, keyed by the vertex itself in discovery order (a vertex that
-    is not a live Node is keyed by its id, so any object can be reported),
-    and lists holds (owner, members) in discovery order, the root list
-    first, so reversed(lists) is children first. Best-effort when
-    violations is non-empty. Raises StaleHandleError on a heap consumed by
-    meld.
+    Returns (structure, undersized, tallies, phis): the violations of
+    check_structure's pass 2, check_size_bounds and verify_tallies, and
+    phi0..phi6 recounted. When pass 1 (the link checks) finds anything,
+    its violations stand in for each of the three lists, phis is None and
+    the content results are thrown away. Raises StaleHandleError on a heap
+    consumed by meld.
+
+    Each member is checked when reached, and each owner once its child
+    list is in hand; sizes take one reverse pass over the owners. A
+    vertex's rank-rule violations come after the content violations, in
+    the order the walk reached the vertices.
     """
     live = heap.arena._live
     d = heap._require_alive()
     cap = heap.size + 1
-    violations = []
-    seen = {}
-    lists = []
+    if table is None:
+        table = _bounds(heap.max_rank_seen + 1)
+    links = []     # pass 1
+    content = []   # pass 2, per child list
+    bad = {}       # pass 2, per vertex: vertex -> its violations
+    short = {}     # vertex -> size_bound violation
+    seen = {}      # every vertex reached; a non-Node is keyed by its id
+    owners = []    # (owner, rank, active w0 or None, active w1 or None)
+    nonroot = [0, 0, 0, 0]  # raw status tallies; an unknown status counts
+    root = [0, 0, 0, 0]     # as noncritical inner, as the heap's own does
+    rank_sum = dangerous = tau = 0
+    # The root list pushes its owners first, so they lie at the bottom of
+    # the stack: an owner popped from below the lowest root popped so far
+    # is a root, and everything pushed after that root lies above it.
+    root_depth = 0
     stack = [d] if d.child is not None else []
     while stack:
         owner = stack.pop()
+        is_root = len(stack) < root_depth
+        if is_root:
+            root_depth = len(stack)
+        top = owner is d
         members = []
-        lists.append((owner, members))
         v = owner.child
         for _ in range(cap):
             members.append(v)
@@ -188,216 +223,213 @@ def _walk(heap):
                 break
             v = nxt
         else:
-            violations.append(Violation(
+            links.append(Violation(
                 "broken_owner_link", owner_key=owner.key,
                 detail="right walk exceeded %d nodes" % cap))
             continue
         # v says it is the rightmost; its right link must be the owner
         if nxt is not owner:
-            violations.append(Violation(
+            links.append(Violation(
                 "broken_owner_link", owner_key=owner.key, child_key=v.key))
             continue  # do not trust or recurse into a broken list
-        prev = v  # left links close one cycle: leftmost.left == rightmost
+        # left links close one cycle: leftmost.left == rightmost; the walk
+        # checked every other member's left link before it went on
+        if members[0].left is not v:
+            links.append(Violation("broken_left_cycle", owner_key=owner.key,
+                                   child_key=members[0].key))
+        tally = root if top else nonroot
+        okey = owner.key
+        seen_nonplaced = False
+        inner = inner_idx = 0
+        prev_rho = None
         for v in members:
-            if v.left is not prev:
-                violations.append(Violation(
-                    "broken_left_cycle", owner_key=owner.key, child_key=v.key))
-            prev = v
             # a live vertex of the arena; a Node hashes by identity
             if isinstance(v, Node) and v in live:
                 if v in seen:
-                    violations.append(Violation("shared_vertex", key=v.key))
+                    links.append(Violation("shared_vertex", key=v.key))
                     continue
                 seen[v] = None
             else:
                 if id(v) in seen:
-                    violations.append(Violation("shared_vertex", key=v.key))
+                    links.append(Violation("shared_vertex", key=v.key))
                     continue
-                violations.append(Violation("dead_vertex", key=v.key))
+                links.append(Violation("dead_vertex", key=v.key))
                 seen[id(v)] = None
+                if v.child is not None:
+                    stack.append(v)
+                continue
+            r = v.rank
             if v.child is not None:
                 stack.append(v)
-    if not violations and len(seen) != heap.size:
-        violations.append(Violation(
-            "size_mismatch", reachable=len(seen), recorded=heap.size))
-    return violations, seen, lists
-
-
-def _audit(heap, table=None):
-    """Walk the forest once; read every check from that one walk.
-
-    Returns (structure, undersized, tallies, phis): the violations of
-    check_structure's pass 2, check_size_bounds and verify_tallies, and
-    phi0..phi6 recounted. When pass 1 finds anything, its violations
-    stand in for each of the three lists and phis is None. Past pass 1
-    every vertex is a live Node, so the child lists, sizes, inner-child
-    counts and root set are keyed by the vertex itself; each owner's
-    inner-child count comes from the content pass, and the per-vertex
-    pass writes rho and the danger test out.
-    """
-    links, seen, lists = _walk(heap)
-    if links:
-        return links, links, links, None
-    if table is None:
-        table = size_bound_table(heap.max_rank_seen + 1)
-    violations = []
-    kids_of = dict(lists)
-    roots = set(lists[0][1]) if lists else set()
-
-    # pass 2, per child list; the root list, lists[0], is skipped, since
-    # statuses and order are meaningless there. Each owner's inner-child
-    # count (status <= CRITICAL_INNER, a negative status too) is taken
-    # here for the rank budget below.
-    inner_of = {}
-    for owner, members in lists[1:]:
-        okey = owner.key
-        seen_nonplaced = False
-        inner = 0
-        inner_idx = 0
-        prev_rho = None
-        for v in members:
+                if v is d:
+                    continue  # reached again, d always ends in shared_vertex
+            elif r != 0:  # a leaf: size 1, not dangerous, rank 0 expected
+                if r < 0:
+                    bad[v] = [Violation("negative_rank", key=v.key, rank=r)]
+                else:
+                    if r >= 3:
+                        bound = (table[r] if r < len(table)
+                                 else _bounds(r)[r])
+                        short[v] = Violation("size_bound", key=v.key, rank=r,
+                                             size=1, bound=bound)
+                    bad[v] = [Violation(
+                        "rank_mismatch", key=v.key, rank=r, expect=0,
+                        detail="no inner children")]
+            rank_sum += r
             st = v.status
-            if st <= CRITICAL_INNER:
-                inner += 1
-            if not (NONCRITICAL_INNER <= st <= OUTER_MISPLACED):
-                violations.append(Violation(
-                    "bad_status", key=v.key, status=st))
+            tally[st if NONCRITICAL_INNER <= st <= OUTER_MISPLACED
+                  else NONCRITICAL_INNER] += 1
+            if top:
+                continue  # statuses and order are meaningless on the root list
+            # the inner-child count (a negative status too) feeds the owner's
+            # rank budget
+            if not NONCRITICAL_INNER <= st <= OUTER_MISPLACED:
+                inner += st < NONCRITICAL_INNER
+                content.append(Violation("bad_status", key=v.key, status=st))
                 continue
-            if v.key < okey:
-                violations.append(Violation(
-                    "heap_order", parent_key=okey, child_key=v.key))
+            try:
+                if v.key < okey:
+                    content.append(Violation(
+                        "heap_order", parent_key=okey, child_key=v.key))
+            except TypeError:  # e.g. a foreign heap's head, keyed None
+                content.append(Violation(
+                    "incomparable_key", parent_key=okey, child_key=v.key))
             if st == OUTER_PLACED:
                 if seen_nonplaced:
-                    violations.append(Violation(
+                    content.append(Violation(
                         "layout", parent_key=okey, child_key=v.key,
                         detail="placed child after the placed prefix"))
             else:
                 seen_nonplaced = True
             if st <= CRITICAL_INNER:
-                rho = v.rank + 1 if st == CRITICAL_INNER else v.rank
+                inner += 1
+                rho = r + 1 if st == CRITICAL_INNER else r
                 if rho < inner_idx:
-                    violations.append(Violation(
+                    content.append(Violation(
                         "index_bound", parent_key=okey, child_key=v.key,
                         inner_index=inner_idx, rho=rho))
                 if prev_rho is not None and rho < prev_rho + 1:
-                    violations.append(Violation(
+                    content.append(Violation(
                         "inner_order", parent_key=okey, child_key=v.key,
                         prev_rho=prev_rho, rho=rho))
                 prev_rho = rho
                 inner_idx += 1
-        inner_of[owner] = inner
+        if top:
+            root_depth = len(stack)
+            tau = len(members)
+            continue
+        if links:
+            continue  # every content result is thrown away
 
-    # active-closure sizes (see check_size_bounds), children first; a
-    # leaf's size is 1
-    sizes = {}
-    for owner, kids in reversed(lists):
-        size = 1
-        i = len(kids) - 1
-        while i >= 0 and kids[i].status == OUTER_MISPLACED:
-            i -= 1
-        if i >= 0 and kids[i].status != OUTER_PLACED:
-            w0 = kids[i]
-            size += sizes.get(w0, 1)
-            if i > 0:
-                # w1 is active too unless a gap (rule 1/2) is forced: a
-                # misplaced w1, a placed w1 (rho = -1), or rho0 > rho(w1) + 1
-                u = kids[i - 1]
-                st = u.status
-                if (st != OUTER_MISPLACED and st != OUTER_PLACED
-                        and _rho(w0) <= _rho(u) + 1):
-                    size += sizes.get(u, 1)
-        sizes[owner] = size
-
-    # pass 2, per vertex: rank rules, size bound and the recount. The raw
-    # tally counts the status field of every live vertex, roots included,
-    # as the heap's own tally does; an unknown status counts as
-    # noncritical inner. rho and _is_dangerous (a nonzero rank, an inner
-    # rightmost child w0 and r_v <= rho(w0)) are written out.
-    short = {}  # vertex -> size_bound violation
-    nonroot = [0, 0, 0, 0]  # by status
-    root = [0, 0, 0, 0]
-    rank_sum = 0
-    dangerous = 0
-    for v in seen:
-        r = v.rank
-        rank_sum += r
-        is_root = v in roots
-        st = v.status
-        if not CRITICAL_INNER <= st <= OUTER_MISPLACED:
-            st = NONCRITICAL_INNER
-        if is_root:
-            root[st] += 1
-        else:
-            nonroot[st] += 1
-        kids = kids_of.get(v)
-        if kids is None:
-            if r == 0:
-                continue  # a leaf of rank 0: size 1, not dangerous, no rule
-            danger = False
-            size = 1
-        else:
-            w0 = kids[-1]
-            st0 = w0.status
-            rho0 = w0.rank + 1 if st0 == CRITICAL_INNER else w0.rank
-            danger = r != 0 and st0 <= CRITICAL_INNER and r <= rho0
-            dangerous += danger
-            size = sizes[v]
+        # The owner's own checks, now that its children are in hand. rho
+        # and _is_dangerous (a nonzero rank, an inner rightmost child w0 and
+        # r <= rho(w0)) are written out. w0 is active unless outer; w1 too
+        # unless a gap (rule 1/2) is forced: a misplaced w1, a placed w1
+        # (rho = -1), or rho0 > rho(w1) + 1.
+        r = owner.rank
+        w0 = members[-1]
+        st0 = w0.status
+        rho0 = w0.rank + 1 if st0 == CRITICAL_INNER else w0.rank
+        danger = r != 0 and st0 <= CRITICAL_INNER and r <= rho0
+        dangerous += danger
+        gap = rho0 > 0
+        a = b = None
+        if st0 == OUTER_MISPLACED:
+            # not at rest, yet sized as the seek phase would: skip the
+            # misplaced tail
+            i = len(members) - 2
+            while i >= 0 and members[i].status == OUTER_MISPLACED:
+                i -= 1
+            if i >= 0 and members[i].status != OUTER_PLACED:
+                a = members[i]
+                if i > 0:
+                    u = members[i - 1]
+                    su = u.status
+                    if (su != OUTER_MISPLACED and su != OUTER_PLACED
+                            and _rho(a) <= _rho(u) + 1):
+                        b = u
+        elif st0 != OUTER_PLACED:
+            a = w0
+            if len(members) >= 2:
+                u = members[-2]
+                su = u.status
+                if su == OUTER_MISPLACED:
+                    gap = True
+                elif su != OUTER_PLACED:
+                    gap = rho0 > (u.rank + 1 if su == CRITICAL_INNER
+                                  else u.rank) + 1
+                    if not gap:
+                        b = u
+        owners.append((owner, r, a, b))
         if r < 0:  # no size bound: the table starts at rank 0
-            violations.append(Violation("negative_rank", key=v.key, rank=r))
+            bad[owner] = [Violation("negative_rank", key=owner.key, rank=r)]
             continue
-        bound = table[r] if r < len(table) else size_bound_table(r)[r]
-        if size < bound:
-            short[v] = Violation(
-                "size_bound", key=v.key, rank=r, size=size, bound=bound)
-        if kids is not None:
-            inner = inner_of[v]
-            if r < inner:
-                violations.append(Violation(
-                    "rank_budget", key=v.key, rank=r, inner_children=inner))
-            # rank consistency against the rules, on the resting forest
-            if st0 == OUTER_MISPLACED:
-                violations.append(Violation(
-                    "misplaced_rightmost", key=v.key, child_key=w0.key))
-                continue
-        if kids is None or st0 == OUTER_PLACED:
+        vs = []
+        if r < inner:
+            vs.append(Violation(
+                "rank_budget", key=owner.key, rank=r, inner_children=inner))
+        # rank consistency against the rules, on the resting forest
+        if st0 == OUTER_MISPLACED:
+            vs.append(Violation(
+                "misplaced_rightmost", key=owner.key, child_key=w0.key))
+        elif st0 == OUTER_PLACED:
             if r != 0:
-                violations.append(Violation(
-                    "rank_mismatch", key=v.key, rank=r, expect=0,
+                vs.append(Violation(
+                    "rank_mismatch", key=owner.key, rank=r, expect=0,
                     detail="no inner children"))
-            continue
-        if len(kids) >= 2:
-            u = kids[-2]
-            su = u.status
-            if su == OUTER_MISPLACED:
-                gap = True
-            elif su == OUTER_PLACED:
-                gap = rho0 > 0
-            else:
-                gap = rho0 > (u.rank + 1 if su == CRITICAL_INNER
-                              else u.rank) + 1
-        else:
-            gap = rho0 > 0
-        if gap and st0 == CRITICAL_INNER:
+        elif gap and st0 == CRITICAL_INNER:
             # rule 2 is pending; tolerated deep in a tree, never at a root
             if is_root:
-                violations.append(Violation(
-                    "rule2_pending_root", key=v.key, rank=r, rho0=rho0))
-            continue
-        expect = rho0 if gap else rho0 + 1
-        if r != expect:
-            violations.append(Violation(
-                "rank_mismatch", key=v.key, rank=r, expect=expect,
-                gap=gap, rho0=rho0))
-        if not is_root and v.status == NONCRITICAL_INNER and danger:
-            violations.append(Violation(
-                "steady_dangerous", key=v.key, rank=r, rho0=rho0))
+                vs.append(Violation(
+                    "rule2_pending_root", key=owner.key, rank=r, rho0=rho0))
+        else:
+            expect = rho0 if gap else rho0 + 1
+            if r != expect:
+                vs.append(Violation(
+                    "rank_mismatch", key=owner.key, rank=r, expect=expect,
+                    gap=gap, rho0=rho0))
+            if (not is_root and owner.status == NONCRITICAL_INNER
+                    and danger):
+                vs.append(Violation(
+                    "steady_dangerous", key=owner.key, rank=r, rho0=rho0))
+        if vs:
+            bad[owner] = vs
 
+    if links:
+        return links, links, links, None
+    if heap.size != len(seen):
+        links.append(Violation(
+            "size_mismatch", reachable=len(seen), recorded=heap.size))
+        return links, links, links, None
+
+    # active-closure sizes (see check_size_bounds), children first; a leaf's
+    # size is 1, and P(0..2) = 1, so ranks below 3 are never undersized
+    sizes = {}
+    for owner, r, a, b in reversed(owners):
+        size = 1
+        if a is not None:
+            size += sizes.get(a, 1)
+            if b is not None:
+                size += sizes.get(b, 1)
+        sizes[owner] = size
+        if r >= 3:
+            bound = table[r] if r < len(table) else _bounds(r)[r]
+            if size < bound:
+                short[owner] = Violation(
+                    "size_bound", key=owner.key, rank=r, size=size,
+                    bound=bound)
+
+    structure = content
+    if bad:
+        for v in seen:
+            vs = bad.get(v)
+            if vs is not None:
+                structure.extend(vs)
     # parents before children; pass 1 found the links sound, so this ends
     order = iter_vertices(heap) if short else ()
     undersized = [short[v] for v in order if v in short]
 
     n = heap.size
-    tau = len(roots)
     critical = nonroot[CRITICAL_INNER]
     inner = nonroot[NONCRITICAL_INNER] + critical
     phi2 = 0 if n == 0 else min(tau, plastic_cap(n))
@@ -407,16 +439,19 @@ def _audit(heap, table=None):
     # since phi4 reads the rank sum and the noncritical tally only through
     # their difference (phi6 is the dangerous-vertex count itself)
     cached = tuple(heap.potentials())
-    tallies = [Violation("tally_mismatch", phi=i, walked=phis[i],
-                         cached=cached[i])
-               for i in range(7) if phis[i] != cached[i]]
-    if not tallies:
-        fields = [("_rank_sum", rank_sum, heap._rank_sum)] + [
-            ("_stat_tally[%d]" % i, nonroot[i] + root[i], heap._stat_tally[i])
-            for i in range(4)]
+    walked = [rank_sum] + list(map(add, nonroot, root))
+    fields = [heap._rank_sum] + heap._stat_tally
+    if phis != cached:
+        tallies = [Violation("tally_mismatch", phi=i, walked=phis[i],
+                             cached=cached[i])
+                   for i in range(7) if phis[i] != cached[i]]
+    elif walked != fields:
         tallies = [Violation("tally_mismatch", field=f, walked=w, cached=c)
-                   for f, w, c in fields if w != c]
-    return violations, undersized, tallies, phis
+                   for f, w, c in zip(_TALLY_FIELDS, walked, fields)
+                   if w != c]
+    else:
+        tallies = []
+    return structure, undersized, tallies, phis
 
 
 def compute_potentials(heap):
@@ -444,11 +479,13 @@ def check_structure(heap):
     If pass 1 finds anything, those violations are returned alone — content
     checks over broken links would be noise.
 
-    Pass 2 checks content: heap order, the placed-prefix layout, strictly
-    increasing inner rho (****), the index bound (***), the rank budget (*),
-    rank consistency against the rank rules, the no-steady-dangerous rule
-    (**), no misplaced rightmost child at rest, and no root left in the
-    rule-2 state (critical rightmost child across a gap).
+    Pass 2 checks content: heap order (a child key that does not compare
+    with its owner's is an incomparable_key), the placed-prefix layout,
+    strictly increasing inner rho (****), the index bound (***), the rank
+    budget (*), rank consistency against the rank rules, the
+    no-steady-dangerous rule (**), no misplaced rightmost child at rest,
+    and no root left in the rule-2 state (critical rightmost child across a
+    gap).
     """
     return _audit(heap)[0]
 

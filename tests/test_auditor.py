@@ -191,6 +191,29 @@ def test_detect_size_mismatch():
     assert "size_mismatch" in kinds_of(h)
 
 
+@pytest.mark.parametrize("foreign_keys", [(), (20, 21, 22)])
+def test_foreign_head_below_a_leaf_is_reported_not_raised(foreign_keys):
+    # Another heap's head (same arena, key None) hung below leaf 8, its own
+    # root list kept. Its key compares with no vertex's key.
+    h, hs = build8()
+    other = PadovanHeap(h.arena)
+    for k in foreign_keys:
+        other.insert(k)
+    x = other.dummy
+    x.left = x
+    x.right = hs[8]
+    hs[8].child = x
+    assert kinds_of(h) == {"size_mismatch"}
+    h._size += 1 + other.size  # every reachable vertex accounted for
+    vs = audit_state(h)
+    incomparable = [v.info for v in vs if v.kind == "incomparable_key"]
+    assert incomparable[0] == {"parent_key": 8, "child_key": None}
+    assert ([i["child_key"] for i in incomparable[1:]]
+            == sorted(foreign_keys))
+    assert all(i["parent_key"] is None for i in incomparable[1:])
+    assert "heap_order" not in {v.kind for v in vs}
+
+
 def test_detect_undersized_tree():
     h = PadovanHeap()
     for k in (4, 1, 3, 2):

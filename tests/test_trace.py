@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,6 +127,35 @@ def test_gen_deterministic_and_streamed():
     assert a == b == c
     assert a != gen_workload("random", 300, seed=5)
     assert len(a) == 300
+
+
+# SHA-256 of format_trace(gen_workload(mode, n, seed)) for the generator
+# inputs of the acceptance gate: criteria 1 and 5 (random 1e5 from seeds 0
+# and 100), criteria 2/3/8 (the first seed of each plan row) and
+# criterion 5's competition trace, plus ascending at 1e5. A change to the
+# generator that alters any draw changes the gate's traces.
+GATE_TRACE_DIGESTS = [
+    ("random", 10 ** 5, 0,
+     "5c466a232f15fbf32d70d3898206ee0dd93c773582bc25e1e7f015d0226eed41"),
+    ("random", 10 ** 5, 100,
+     "97ff1fed23a32023e27573efc69930b665b0fd0f6c8d5e979bd015d73feaca2c"),
+    ("random", 100, 20000,
+     "da5d568e5c71787adbb777b5f742415df137681fb3982d8feb6d39178fbd726d"),
+    ("random", 500, 30000,
+     "3af5bc99188d4eec52d9a253220768882a133b391d82700d7e2d5561bd4d732e"),
+    ("random", 2000, 40000,
+     "ddf2989d647e45f49cf0717fbe84e46b3aec4db25879f2a0992136a590d26352"),
+    ("competition", 10 ** 5, 0,
+     "a8371670306775c3b55635d188077111523520bd5107ccf7b37cf5fbc9ed6af2"),
+    ("ascending", 10 ** 5, 0,
+     "07b1bc7727718d43c482bbca6c7301cb7e6ec1c73ab8e62f396ab0f5b0acdbf1"),
+]
+
+
+@pytest.mark.parametrize("mode, n, seed, digest", GATE_TRACE_DIGESTS)
+def test_gen_workload_is_pinned_on_the_gate_inputs(mode, n, seed, digest):
+    text = format_trace(gen_workload(mode, n, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gen_random_is_always_valid():
