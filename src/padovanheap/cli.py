@@ -11,8 +11,10 @@ byte-identical across implementations for any valid trace.
 """
 
 import argparse
+import contextlib
 import csv
 import sys
+from itertools import islice
 
 from .auditor import BudgetAudit, audit_state, check_root_safety, children
 from .errors import HeapError
@@ -20,14 +22,15 @@ from .fibonacci import FibonacciHeap
 from .node_store import OUTER_PLACED, STATUS_NAMES
 from .oracle import Oracle
 from .padovan import PadovanHeap
-from .trace import (TraceError, format_trace, gen_workload, iter_workload,
-                    parse_trace, replay)
+from .trace import TraceError, format_trace, iter_workload, parse_trace, replay
 
 CSV_HEADER = ["impl", "mode", "n", "ops", "total_steps", "max_rank",
               "steps_per_op", "phi0", "phi1", "phi2", "phi3", "phi4",
               "phi5", "phi6"]
 
 IMPLS = ("padovan", "fibonacci", "oracle")
+
+GEN_CHUNK = 8192  # events that gen formats and writes at a time
 
 
 def _make_heap(impl):
@@ -187,12 +190,13 @@ def _cmd_run(args):
 
 
 def _cmd_gen(args):
-    text = format_trace(gen_workload(args.mode, args.n, args.seed))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    events = iter_workload(args.mode, args.n, args.seed)
+    # each chunk's text ends in a newline, so the chunks concatenate to
+    # format_trace of the whole trace
+    with (open(args.out, "w") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for chunk in iter(lambda: list(islice(events, GEN_CHUNK)), []):
+            fh.write(format_trace(chunk))
     return 0
 
 
@@ -261,6 +265,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "n", 1) < 1:
+        parser.error("argument --n: must be at least 1, got %d" % args.n)
     return args.func(args)
 
 

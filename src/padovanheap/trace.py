@@ -1,6 +1,7 @@
 """Trace format, workload generators, and replay.
 
-Grammar, one event per line; `#` starts a comment, blank lines are skipped:
+Grammar, one event per line; a line whose first word starts with `#` is a
+comment, and blank lines are skipped:
 
     i <int>        insert key
     f              find_min       (prints the key)
@@ -15,6 +16,13 @@ holds, is a duplicate_key error; a key is free again once its holder is
 deleted or decreased away. With no ties among live keys, the replayed
 implementations cannot diverge. An f/d on an empty heap is NOT a parse
 error; it surfaces as a runtime failure during replay.
+
+Random mode draws every integer in [lo, lo + w) by rejection from the
+generator's raw bits: k = w.bit_length(), redraw r = getrandbits(k) while
+r >= w, and take lo + r. That is the draw Random.randrange(lo, lo + w)
+makes on CPython 3.10 and later, so the traces are those randrange gave.
+Written out, they depend only on the seeding, random() and getrandbits(),
+and not on randrange's private reduction, which a later Python may change.
 """
 
 import heapq
@@ -40,80 +48,80 @@ class TraceError(Exception):
 def parse_trace(text):
     """Parse trace text into a list of event tuples, validating ids/keys."""
     events = []
+    append = events.append
+    heappush = heapq.heappush
+    heappop = heapq.heappop
     live = {}  # id -> key, canonical simulation
-    held = set()  # the keys of live ids, pairwise distinct
-    by_key = []  # lazy (key, id) heap mirroring live
+    holder = {}  # key -> id, the keys of live ids, pairwise distinct
+    by_key = []  # lazy heap of keys; holds every live key
     next_id = 0
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        op = parts[0]
-        try:
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            parts = raw.split()
+            if not parts:
+                continue
+            op = parts[0]
             if op == "i":
                 if len(parts) != 2:
                     raise ValueError("expected: i <int>")
                 key = int(parts[1])
-                if key in held:
+                if key in holder:
                     raise TraceError("duplicate_key", lineno,
                                      "key %d is live" % key)
-                held.add(key)
                 next_id += 1
+                holder[key] = next_id
                 live[next_id] = key
-                heapq.heappush(by_key, (key, next_id))
-                events.append(("i", key))
-            elif op == "f":
-                if len(parts) != 1:
-                    raise ValueError("expected: f")
-                events.append(("f",))
-            elif op == "d":
-                if len(parts) != 1:
-                    raise ValueError("expected: d")
-                while by_key and live.get(by_key[0][1]) != by_key[0][0]:
-                    heapq.heappop(by_key)  # stale: deleted or decreased
-                if by_key:
-                    key, vid = heapq.heappop(by_key)
-                    del live[vid]
-                    held.remove(key)
-                events.append(("d",))
+                heappush(by_key, key)
+                append(("i", key))
             elif op == "k":
                 if len(parts) != 3:
                     raise ValueError("expected: k <id> <int>")
                 vid = int(parts[1])
                 key = int(parts[2])
-                if vid not in live:
+                cur = live.get(vid)
+                if cur is None:
                     raise TraceError("dead_id", lineno,
                                      "id %d is not live" % vid)
-                if key > live[vid]:
-                    raise TraceError(
-                        "key_increase", lineno,
-                        "key %d > current %d for id %d"
-                        % (key, live[vid], vid))
-                if key != live[vid]:
-                    if key in held:
+                if key > cur:
+                    raise TraceError("key_increase", lineno,
+                                     "key %d > current %d for id %d"
+                                     % (key, cur, vid))
+                if key != cur:
+                    if key in holder:
                         raise TraceError("duplicate_key", lineno,
                                          "key %d is live" % key)
-                    held.remove(live[vid])
-                    held.add(key)
-                live[vid] = key
-                heapq.heappush(by_key, (key, vid))
-                events.append(("k", vid, key))
+                    del holder[cur]
+                    holder[key] = vid
+                    live[vid] = key
+                    heappush(by_key, key)
+                append(("k", vid, key))
+            elif op == "d":
+                if len(parts) != 1:
+                    raise ValueError("expected: d")
+                while by_key:  # pop stale entries up to the live minimum
+                    vid = holder.pop(heappop(by_key), None)
+                    if vid is not None:
+                        del live[vid]
+                        break
+                append(("d",))
+            elif op == "f":
+                if len(parts) != 1:
+                    raise ValueError("expected: f")
+                append(("f",))
             elif op == "x":
                 if len(parts) != 2:
                     raise ValueError("expected: x <id>")
                 vid = int(parts[1])
-                if vid not in live:
+                cur = live.pop(vid, None)
+                if cur is None:
                     raise TraceError("dead_id", lineno,
                                      "id %d is not live" % vid)
-                held.remove(live.pop(vid))
-                events.append(("x", vid))
-            else:
+                del holder[cur]
+                append(("x", vid))
+            elif op[0] != "#":
                 raise ValueError("unknown op %r" % op)
-        except TraceError:
-            raise
-        except ValueError as e:
-            raise TraceError("syntax", lineno, str(e))
+    except ValueError as e:
+        raise TraceError("syntax", lineno, str(e))
     return events
 
 
@@ -153,79 +161,107 @@ def iter_workload(mode, n, seed=0):
     competition: n rounds of (i -r, i -(r+1), f, d) — the adversarial
                  sequence that drives a consolidating heap to rebuild
                  ever-larger trees while this heap stays at rank <= 3.
-    """
-    assert n >= 1
-    if mode == "ascending":
-        for j in range(1, n + 1):
-            yield ("i", j)
-        yield ("f",)
-    elif mode == "competition":
-        for r in range(1, n + 1):
-            yield ("i", -r)
-            yield ("i", -(r + 1))
-            yield ("f",)
-            yield ("d",)
-    elif mode == "random":
-        rng = random.Random(seed)
-        live = {}      # id -> key
-        order = []     # live ids for O(1) uniform choice
-        pos = {}       # id -> index into order
-        by_key = []    # lazy (key, id) heap for the canonical delete_min
-        used = set()   # all keys ever issued; keeps live keys distinct
-        next_id = 0
-        span = 10 ** 6
 
-        def drop(vid):
+    An unknown mode or an n below 1 raises ValueError here, not at the
+    first event.
+    """
+    if mode not in _MODES:
+        raise ValueError("unknown mode %r" % mode)
+    if n < 1:
+        raise ValueError("n must be at least 1, got %r" % n)
+    return _MODES[mode](n, seed)
+
+
+def _ascending(n, seed):
+    for j in range(1, n + 1):
+        yield ("i", j)
+    yield ("f",)
+
+
+def _competition(n, seed):
+    for r in range(1, n + 1):
+        yield ("i", -r)
+        yield ("i", -(r + 1))
+        yield ("f",)
+        yield ("d",)
+
+
+def _random(n, seed):
+    rng = random.Random(seed)
+    rand = rng.random
+    getrandbits = rng.getrandbits
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+    live = {}      # id -> key
+    order = []     # live ids for O(1) uniform choice
+    pos = {}       # id -> index into order
+    by_key = []    # lazy heap of keys for the canonical delete_min
+    owner = {}     # key -> id, for all keys ever issued; keeps keys distinct
+    next_id = 0
+    span = 10 ** 6
+    key_bits = (2 * span).bit_length()  # i: a key in [-span, span)
+    dec_bits = span.bit_length()        # k: a key in [cur - span, cur)
+    total = _CUM[-1]
+    for _ in range(n):
+        op = _OPS[bisect(_CUM, rand() * total, 0, 4)] if live else "i"
+        if op == "i":
+            key = getrandbits(key_bits) - span
+            while key >= span or key in owner:
+                key = getrandbits(key_bits) - span
+            next_id += 1
+            owner[key] = next_id
+            live[next_id] = key
+            pos[next_id] = len(order)
+            order.append(next_id)
+            heappush(by_key, key)
+            yield ("i", key)
+        elif op == "d":
+            key = heappop(by_key)
+            vid = owner[key]
+            while live.get(vid) != key:  # stale: deleted or decreased
+                key = heappop(by_key)
+                vid = owner[key]
             del live[vid]
             i = pos.pop(vid)
             last = order.pop()
             if i < len(order):
                 order[i] = last
                 pos[last] = i
-
-        for _ in range(n):
-            op = (_OPS[bisect(_CUM, rng.random() * _CUM[-1], 0, 4)]
-                  if live else "i")
-            if op == "i":
-                while True:
-                    key = rng.randrange(-span, span)
-                    if key not in used:
-                        break
-                used.add(key)
-                next_id += 1
-                live[next_id] = key
-                pos[next_id] = len(order)
-                order.append(next_id)
-                heapq.heappush(by_key, (key, next_id))
-                yield ("i", key)
-            elif op == "d":
-                while live.get(by_key[0][1]) != by_key[0][0]:
-                    heapq.heappop(by_key)  # stale entry
-                drop(heapq.heappop(by_key)[1])
-                yield ("d",)
-            elif op == "f":
-                yield ("f",)
-            elif op == "k":
-                vid = order[rng.randrange(len(order))]
+            yield ("d",)
+        elif op == "f":
+            yield ("f",)
+        else:  # k or x, on a live id drawn uniformly
+            width = len(order)
+            bits = width.bit_length()
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            vid = order[r]
+            if op == "k":
                 cur = live[vid]
-                while True:
-                    nk = rng.randrange(cur - span, cur)
-                    if nk not in used:
-                        break
-                used.add(nk)
-                live[vid] = nk
-                heapq.heappush(by_key, (nk, vid))
-                yield ("k", vid, nk)
+                key = cur - span + getrandbits(dec_bits)
+                while key >= cur or key in owner:
+                    key = cur - span + getrandbits(dec_bits)
+                owner[key] = vid
+                live[vid] = key
+                heappush(by_key, key)
+                yield ("k", vid, key)
             else:
-                vid = order[rng.randrange(len(order))]
-                drop(vid)
+                del live[vid]
+                i = pos.pop(vid)
+                last = order.pop()
+                if i < len(order):
+                    order[i] = last
+                    pos[last] = i
                 yield ("x", vid)
-    else:
-        raise ValueError("unknown mode %r" % mode)
+
+
+_MODES = {"ascending": _ascending, "competition": _competition,
+          "random": _random}
 
 
 def gen_workload(mode, n, seed=0):
-    """Materialized iter_workload, for writing trace files."""
+    """iter_workload as a list."""
     return list(iter_workload(mode, n, seed))
 
 

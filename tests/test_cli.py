@@ -12,7 +12,8 @@ import pytest
 import padovanheap
 from padovanheap import PadovanHeap
 from padovanheap.auditor import CostModel
-from padovanheap.cli import CSV_HEADER, main
+from padovanheap.cli import CSV_HEADER, GEN_CHUNK, main
+from padovanheap.trace import format_trace, gen_workload
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -172,6 +173,25 @@ def test_gen_stdout_and_file(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("mode, n", [
+    ("random", GEN_CHUNK - 1), ("random", GEN_CHUNK),
+    ("random", GEN_CHUNK + 1), ("random", 2 * GEN_CHUNK + 5),
+    ("ascending", GEN_CHUNK - 2), ("ascending", GEN_CHUNK - 1),
+    ("ascending", GEN_CHUNK), ("competition", GEN_CHUNK // 4 + 1)])
+def test_gen_streams_the_whole_trace_byte_for_byte(tmp_path, capsys,
+                                                    mode, n):
+    """gen writes the trace in chunks of GEN_CHUNK events; the bytes are
+    those of the whole trace formatted at once, on both sides of a chunk
+    boundary (ascending has n + 1 events, competition 4 n)."""
+    want = format_trace(gen_workload(mode, n, seed=11)).encode()
+    out = tmp_path / "w.txt"
+    assert run_cli("gen", "--mode", mode, "--n", str(n), "--seed", "11",
+                   "-o", str(out)) == 0
+    assert out.read_bytes() == want
+    assert run_cli("gen", "--mode", mode, "--n", str(n), "--seed", "11") == 0
+    assert capsys.readouterr().out.encode() == want
+
+
 def test_gen_then_run_differential(tmp_path, capsys):
     out = str(tmp_path / "w.txt")
     assert run_cli("gen", "--mode", "random", "--n", "800", "--seed", "3",
@@ -204,14 +224,23 @@ def test_bench_fibonacci(tmp_path, capsys):
     assert rows[1][7:] == ["0"] * 7             # no potentials for the baseline
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
+    csv_path = str(tmp_path / "b.csv")
     for argv in ((), ("frobnicate",), ("gen", "--mode", "random"),
                  ("gen", "--mode", "nope", "--n", "5"),
-                 ("bench", "--mode", "random", "--n", "5")):
+                 ("bench", "--mode", "random", "--n", "5"),
+                 ("gen", "--mode", "random", "--n", "0"),
+                 ("gen", "--mode", "ascending", "--n", "-1"),
+                 ("bench", "--mode", "competition", "--n", "-3",
+                  "--csv", csv_path)):
         with pytest.raises(SystemExit) as ei:
             run_cli(*argv)
         assert ei.value.code == 2
-        capsys.readouterr()
+        out, err = capsys.readouterr()
+        assert out == ""
+        if "--n" in argv and int(argv[argv.index("--n") + 1]) < 1:
+            assert "--n: must be at least 1" in err
+    assert not os.path.exists(csv_path)
 
 
 def child_env():
@@ -226,6 +255,16 @@ def test_module_entry_point():
                        capture_output=True, text=True, env=child_env())
     assert r.returncode == 0
     assert r.stdout == "i 1\ni 2\nf\n"
+
+
+def test_non_positive_n_is_a_usage_error_under_optimize():
+    """-O strips asserts; --n 0 must still exit 2 and write nothing."""
+    r = subprocess.run([sys.executable, "-O", "-m", "padovanheap", "gen",
+                        "--mode", "ascending", "--n", "0"],
+                       capture_output=True, text=True, env=child_env())
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "--n: must be at least 1" in r.stderr
 
 
 def test_console_script():

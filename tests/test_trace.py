@@ -8,6 +8,8 @@ from padovanheap.errors import EmptyHeapError
 from padovanheap.trace import (
     TraceError, format_trace, gen_workload, iter_workload, parse_trace, replay)
 
+import trace_reference
+
 
 def test_parse_basic():
     assert parse_trace("i 5\nf\nd\n") == [("i", 5), ("f",), ("d",)]
@@ -98,6 +100,105 @@ def test_repeated_keys_are_rejected_or_replay_alike(ops):
     assert outs[0] == outs[1] == outs[2]
 
 
+def _outcome(parse, text):
+    """The events, or the TraceError's kind, line and message."""
+    try:
+        return parse(text)
+    except TraceError as e:
+        return (e.kind, e.line, str(e))
+
+
+# Line soups: every op with right and wrong arity, comments (some indented),
+# blank lines, odd whitespace and line ends, odd integer spellings, and ids
+# and keys drawn near the ones in use, so that dead ids, duplicate keys and
+# increases occur, but mostly after some lines that parse.
+_ODD_INTS = ["+5", "1_000", "-0", "\u0663", "\uff15", "007"]  # int() reads
+_NOT_INTS = ["0x1", "1.5", "one", "#5", "i", "1__0"]  # int() rejects
+_SEPS = [" "] * 40 + ["\t", "  ", " \t", "\x1f", "\u3000", "\x0b", "\x0c"]
+_LEADS = [""] * 6 + [" ", "\t", "\x0c", "\u3000"]
+_TAILS = [""] * 6 + [" ", "\t", "\r"]
+_ENDS = ["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\u2028"]
+
+
+@st.composite
+def _line_soup(draw):
+    lines = []
+    live = {}  # id -> key, as the parser will see them if no line fails
+    next_id = 0
+    for _ in range(draw(st.integers(1, 40))):
+        pick = draw(st.integers(0, 99))
+        if pick < 86:  # an op
+            op = draw(st.sampled_from("iiiiikkkddfx"))
+            if op in "kx" and not live and pick:
+                op = "i"
+            if op in "kx":  # a live id, or when pick is 0 any id
+                vid = (draw(st.sampled_from(sorted(live))) if pick
+                       else draw(st.integers(1, next_id + 1)))
+            if op == "i":
+                key = draw(st.integers(-20, 20))
+                next_id += 1
+                live[next_id] = key
+                args = [key]
+            elif op == "k":
+                cur = live.get(vid, 0)
+                key = draw(st.integers(cur - 8, cur + 1))
+                live[vid] = key
+                args = [vid, key]
+            elif op == "x":
+                live.pop(vid, None)
+                args = [vid]
+            else:
+                if op == "d" and live:
+                    del live[min(live, key=lambda v: (live[v], v))]
+                args = []
+            if pick == 1:  # wrong arity
+                args = draw(st.lists(st.integers(-2, 2), max_size=3))
+            tokens = [op]
+            for a in args:
+                odd = draw(st.integers(0, 59))
+                tokens.append(draw(st.sampled_from(_ODD_INTS)) if odd < 3
+                              else draw(st.sampled_from(_NOT_INTS))
+                              if odd == 3 else str(a))
+        elif pick < 93:  # a comment
+            tokens = [draw(st.sampled_from(["#", "#i", "##", "#d"])), "i", "1"]
+        elif pick < 99:  # a blank line
+            tokens = []
+        else:  # an unknown op
+            tokens = [draw(st.sampled_from(["q", "I", "ii", "k1", "\u0131"]))]
+        lines.append(draw(st.sampled_from(_LEADS))
+                     + draw(st.sampled_from(_SEPS)).join(tokens)
+                     + draw(st.sampled_from(_TAILS))
+                     + draw(st.sampled_from(_ENDS)))
+    return "".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_line_soup())
+def test_parse_matches_frozen_reference_on_line_soups(text):
+    assert (_outcome(parse_trace, text)
+            == _outcome(trace_reference.parse_trace, text))
+
+
+def test_random_mode_matches_frozen_reference():
+    """The written-out draws give the events rng.randrange gave."""
+    for seed in range(300):
+        for n in (1, 2, 3, 17, 300):
+            assert (list(iter_workload("random", n, seed))
+                    == list(trace_reference.iter_random_workload(n, seed)))
+    for seed in (7, 1234, 2 ** 40 + 3):
+        assert (list(iter_workload("random", 20000, seed))
+                == list(trace_reference.iter_random_workload(20000, seed)))
+
+
+@pytest.mark.parametrize("mode", ["random", "ascending", "competition"])
+def test_non_positive_n_raises_at_the_call(mode):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            iter_workload(mode, n)  # no next(): the check is eager
+        with pytest.raises(ValueError, match="at least 1"):
+            gen_workload(mode, n)
+
+
 def test_parse_tracks_decreases():
     # after k, the canonical min moves: d must kill id 2, freeing id 1
     events = parse_trace("i 5\ni 9\nk 2 1\nd\nk 1 0\n")
@@ -177,6 +278,8 @@ def test_gen_competition_rounds():
 def test_gen_unknown_mode():
     with pytest.raises(ValueError):
         gen_workload("sideways", 10)
+    with pytest.raises(ValueError, match="unknown mode"):
+        iter_workload("sideways", 10)
 
 
 def test_replay_output_matches_oracle_everywhere():
