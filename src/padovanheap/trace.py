@@ -273,39 +273,51 @@ def replay(events, heap, before=None, after=None, collect_output=True):
     are observer callbacks (index, event) bracketing every operation; audits
     hang off them.
 
-    A `d` is issued as find_min + delete_min so the replayer learns which
-    handle died and can prune its id maps; after the explicit find_min the
-    padovan heap has a single safe root, which delete_min removes without
-    calling find_min again.
+    Trace ids are insert ordinals, so the handles sit in a list indexed by
+    id, each slot None once its element is gone; only the handle -> id map
+    is a dict. A `d` is issued as find_min + delete_min so the replayer
+    learns which id died and can clear its slot. That call sequence is part
+    of the contract: benchmark stand-ins and the frozen step counts rely on
+    it. After the explicit find_min the padovan heap has a single safe
+    root, which delete_min removes without calling find_min again.
+
+    Bad ids in hand-built events fail loudly: an id below 1 raises KeyError
+    (a list would read it from the end), an id past the last insert
+    IndexError, a dead id StaleHandleError on `k` and KeyError on `x`.
     """
-    id2h = {}
+    handles = [None]  # handles[t]: the t-th insert's handle, None once gone
     h2id = {}
-    next_id = 0
     out = []
     for idx, ev in enumerate(events):
         if before is not None:
             before(idx, ev)
         op = ev[0]
         if op == "i":
-            next_id += 1
             h = heap.insert(ev[1])
-            id2h[next_id] = h
-            h2id[h] = next_id
+            h2id[h] = len(handles)
+            handles.append(h)
         elif op == "f":
             h = heap.find_min()
             if collect_output:
                 out.append(heap.key_of(h))
         elif op == "d":
             h = heap.find_min()
-            tid = h2id.pop(h)
-            del id2h[tid]
+            handles[h2id.pop(h)] = None
             key = heap.delete_min()
             if collect_output:
                 out.append(key)
         elif op == "k":
-            heap.decrease_key(id2h[ev[1]], ev[2])
+            tid = ev[1]
+            if tid < 1:
+                raise KeyError("k of trace id %r, never issued" % (tid,))
+            heap.decrease_key(handles[tid], ev[2])  # None: StaleHandleError
         elif op == "x":
-            h = id2h.pop(ev[1])
+            tid = ev[1]
+            h = handles[tid] if tid > 0 else None
+            if h is None:
+                raise KeyError("x of trace id %r, never issued or dead"
+                               % (tid,))
+            handles[tid] = None
             del h2id[h]
             heap.delete(h)
         else:

@@ -187,6 +187,38 @@ def test_fibonacci_step_counts_are_frozen(mode, n, seed, steps, max_degree):
     assert h.max_degree_seen == max_degree
 
 
+@pytest.mark.parametrize("mode, n, seed, per_event, crossover", [
+    ("random", 20000, 1, (21.76, 18.23, 1.95, 3.31), 2.59),
+    ("competition", 5000, 0, (10.25, 5.87, 0.81, 1.99), 3.71),
+    ("ascending", 5000, 0, (13.0, 6.0, 1.0, 1.0), None),
+])
+def test_padovan_trades_link_writes_for_comparisons(mode, n, seed, per_event,
+                                                     crossover):
+    """The paper's trade, counted on the frozen-count traces: padovan makes
+    fewer comparisons than Fibonacci where consolidation has work to do,
+    and more link writes everywhere. per_event is (padovan writes,
+    Fibonacci writes, padovan comparisons, Fibonacci comparisons) per event;
+    padovan is cheaper in counted steps only when one comparison costs more
+    than crossover = Δwrites / Δcomparisons link writes, never on
+    ascending."""
+    events = list(iter_workload(mode, n, seed))
+    p = PadovanHeap()
+    f = FibonacciHeap()
+    replay(events, p, collect_output=False)
+    replay(events, f, collect_output=False)
+    pc = p.arena.counters
+    fc = f.counters
+    counts = (pc.link_writes, fc.link_writes, pc.comparisons, fc.comparisons)
+    assert tuple(round(c / len(events), 2) for c in counts) == per_event
+    assert pc.link_writes > fc.link_writes
+    if crossover is None:
+        assert pc.comparisons == fc.comparisons
+    else:
+        assert pc.comparisons < fc.comparisons
+        assert round((pc.link_writes - fc.link_writes)
+                     / (fc.comparisons - pc.comparisons), 2) == crossover
+
+
 # ------------------------------------- inline surgery against helper calls
 
 class CallFibonacciHeap(FibonacciHeap):

@@ -1,10 +1,11 @@
 import hashlib
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padovanheap import FibonacciHeap, Oracle, PadovanHeap
-from padovanheap.errors import EmptyHeapError
+from padovanheap.errors import EmptyHeapError, StaleHandleError
 from padovanheap.trace import (
     TraceError, format_trace, gen_workload, iter_workload, parse_trace, replay)
 
@@ -310,3 +311,98 @@ def test_competition_replay_stays_flat():
     h = PadovanHeap()
     replay(gen_workload("competition", 200), h, collect_output=False)
     assert h.max_rank_seen <= 3
+
+
+HEAPS = (PadovanHeap, FibonacciHeap, Oracle)
+
+
+def _min_key(heap):
+    return heap.key_of(heap.find_min())
+
+
+@pytest.mark.parametrize("heap_cls", HEAPS)
+@pytest.mark.parametrize("bad, error", [
+    (("k", -1, 0), KeyError),  # a list index would take the last handle
+    (("k", 0, 0), KeyError),
+    (("x", -1), KeyError),
+    (("x", 0), KeyError),
+    (("k", 3, 0), IndexError),
+    (("x", 3), IndexError),
+])
+def test_replay_rejects_ids_never_issued(heap_cls, bad, error):
+    heap = heap_cls()
+    with pytest.raises(error):
+        replay([("i", 5), ("i", 7), bad], heap)
+    assert heap.size == 2 and _min_key(heap) == 5
+
+
+@pytest.mark.parametrize("heap_cls", HEAPS)
+@pytest.mark.parametrize("death", [("d",), ("x", 1)])
+@pytest.mark.parametrize("bad, error", [
+    (("k", 1, 0), StaleHandleError),
+    (("x", 1), KeyError),
+])
+def test_replay_dead_ids_stay_loud(heap_cls, death, bad, error):
+    heap = heap_cls()
+    with pytest.raises(error):
+        replay([("i", 5), ("i", 7), death, bad], heap)
+    assert heap.size == 1 and _min_key(heap) == 7
+
+
+class _Handle:
+    __slots__ = ("oid", "__weakref__")
+
+    def __init__(self, oid):
+        self.oid = oid
+
+
+class WeakRefOracle:
+    """Oracle whose handles are weakref-able objects, all of them tracked;
+    it keeps a reference to the handles of live elements only."""
+
+    def __init__(self):
+        self.oracle = Oracle()
+        self.live = {}  # oracle handle -> _Handle
+        self.issued = weakref.WeakSet()
+
+    @property
+    def size(self):
+        return self.oracle.size
+
+    def insert(self, key):
+        h = _Handle(self.oracle.insert(key))
+        self.live[h.oid] = h
+        self.issued.add(h)
+        return h
+
+    def find_min(self):
+        return self.live[self.oracle.find_min()]
+
+    def delete_min(self):
+        del self.live[self.oracle.find_min()]
+        return self.oracle.delete_min()
+
+    def decrease_key(self, h, key):
+        self.oracle.decrease_key(h.oid, key)
+
+    def delete(self, h):
+        self.oracle.delete(h.oid)
+        del self.live[h.oid]
+
+    def key_of(self, h):
+        return self.oracle.key_of(h.oid)
+
+
+@pytest.mark.parametrize("mode, n", [("random", 3000), ("competition", 500)])
+def test_replay_keeps_no_handle_of_a_dead_element(mode, n):
+    """replay drops its references as elements die: at most one handle
+    beyond the live ones survives an event, the one its loop last held."""
+    heap = WeakRefOracle()
+    worst = []
+
+    def after(idx, ev):
+        worst.append(len(heap.issued) - heap.size)
+
+    events = gen_workload(mode, n, seed=3)
+    assert replay(events, heap, after=after) == replay(events, Oracle())
+    assert max(worst) == 1
