@@ -20,9 +20,10 @@ seven potentials
     phi5  outer misplaced children
     phi6  dangerous vertices
 
-are combined into W = sum(t_i * phi_i) by a CostModel, and every operation's
-counted steps plus the change in W must stay under a constant (insert, meld,
-find_min, decrease_key) or a logarithmic (delete_min, delete) budget.
+are combined into W = sum(t_i * phi_i) by a CostModel, and every traced
+operation's counted steps plus the change in W must stay under a constant
+(insert, find_min, decrease_key) or a logarithmic (delete_min, delete)
+budget. meld is not traced, so not audited (see BudgetAudit).
 
 Counted steps are the analysis units: key comparisons, rank-rule
 applications, and placing steps.  Raw pointer writes are tracked separately
@@ -40,7 +41,7 @@ from .node_store import (
     OUTER_MISPLACED,
     Node,
 )
-from .padovan import PLASTIC, PadovanHeap, plastic_cap
+from .padovan import _LOG_PLASTIC, PadovanHeap, plastic_cap
 from .trace import replay
 
 
@@ -97,14 +98,14 @@ class CostModel:
     def log_budget(self, n):
         """Budget for delete_min/delete on a heap of size n (pre-op)."""
         n = max(n, 1)
-        return self.budget_log * (1.0 + math.log(n) / math.log(PLASTIC))
+        return self.budget_log * (1.0 + math.log(n) / _LOG_PLASTIC)
 
     def weighted(self, phis):
         """W = sum(t_i * phi_i) over the seven potentials phis."""
-        t = self.t
-        return (t[0] * phis[0] + t[1] * phis[1] + t[2] * phis[2]
-                + t[3] * phis[3] + t[4] * phis[4] + t[5] * phis[5]
-                + t[6] * phis[6])
+        t0, t1, t2, t3, t4, t5, t6 = self.t
+        p0, p1, p2, p3, p4, p5, p6 = phis
+        return (t0 * p0 + t1 * p1 + t2 * p2 + t3 * p3 + t4 * p4 + t5 * p5
+                + t6 * p6)
 
     def __repr__(self):
         return "CostModel(t=%r, budget_const=%r, budget_log=%r)" % (
@@ -200,8 +201,11 @@ def _audit(heap, table=None):
     short = {}     # vertex -> size_bound violation
     seen = {}      # every vertex reached; a non-Node is keyed by its id
     owners = []    # (owner, rank, active w0 or None, active w1 or None)
-    nonroot = [0, 0, 0, 0]  # raw status tallies; an unknown status counts
-    root = [0, 0, 0, 0]     # as noncritical inner, as the heap's own does
+    # raw status tallies; the walk counts an unknown status as noncritical
+    # inner, while potentials() counts an unknown root status as misplaced,
+    # so such a root shows as a tally_mismatch
+    nonroot = [0, 0, 0, 0]
+    root = [0, 0, 0, 0]
     rank_sum = dangerous = tau = 0
     # The root list pushes its owners first, so they lie at the bottom of
     # the stack: an owner popped from below the lowest root popped so far
@@ -515,9 +519,6 @@ def audit_state(heap):
     return structure or undersized + tallies
 
 
-_LOG_OPS = ("d", "x")
-
-
 class BudgetAudit:
     """Replay observer that charges each operation against its budget.
 
@@ -525,10 +526,12 @@ class BudgetAudit:
     steps (comparisons + rank-rule applications + placings) and dW the
     change of the weighted potential, it requires
 
-        s + dW <= budget_const                      for i, f, k (and meld)
+        s + dW <= budget_const                      for i, f, k
         s + dW <= budget_log * (1 + log_beta n)     for d, x   (n pre-op)
 
     and appends a budget Violation to violations when an event breaks it.
+    meld is not audited: no trace event melds. Its charge is not flat
+    either, since the melded heap's phi2 cap grows with log_beta(n2 / n1).
     When rows is a list, a (op, s, dW, n_before, charge, bound) row is
     appended per event; that is the calibration hook.
 
@@ -540,26 +543,28 @@ class BudgetAudit:
     those to a full recount during fuzzing, so the audit can trust them.
     """
 
-    __slots__ = ("heap", "model", "rows", "violations", "_w", "_s", "_n")
+    __slots__ = ("heap", "model", "rows", "violations", "_counters", "_w",
+                 "_s", "_n")
 
     def __init__(self, heap, model=None, rows=None):
         self.heap = heap
         self.model = model if model is not None else CostModel()
         self.rows = rows
         self.violations = []
+        self._counters = heap.arena.counters
         self._w = self.model.weighted(heap.potentials())
-        self._s = heap.arena.counters.analysis_steps
+        self._s = self._counters.analysis_steps
         self._n = heap.size
 
     def after(self, idx, ev):
         heap = self.heap
         model = self.model
         w = model.weighted(heap.potentials())
-        s = heap.arena.counters.analysis_steps - self._s
+        s = self._counters.analysis_steps - self._s
         dw = w - self._w
         charge = s + dw
         op = ev[0]
-        if op in _LOG_OPS:
+        if op == "d" or op == "x":
             bound = model.log_budget(self._n)
         else:
             bound = model.budget_const
@@ -569,7 +574,7 @@ class BudgetAudit:
             self.violations.append(Violation(
                 "budget", op=op, index=idx, steps=s, dW=dw,
                 charge=charge, bound=round(bound, 3)))
-        self._w, self._s, self._n = w, self._s + s, heap.size
+        self._w, self._s, self._n = w, self._s + s, heap._size
 
 
 def audit_amortized(events, model=None, stats_out=None):

@@ -697,30 +697,31 @@ class PadovanHeap:
         phi3 critical nonroots; phi4 rank surplus sum(r - c - n) over all
         vertices; phi5 misplaced outer children; phi6 dangerous vertices.
         """
-        d = self._require_alive()
-        tau = 0
-        r_n = r_c = r_p = r_m = 0
+        d = self._dummy
+        if d is None:
+            raise StaleHandleError(_CONSUMED)
+        # root statuses in the order they occur: N, then P, C and M; any
+        # other value counts as misplaced
+        r_n = r_p = r_c = r_m = 0
         v = d.child
-        while v is not None and v is not d:
-            tau += 1
-            st = v.status
-            if st == NONCRITICAL_INNER:
-                r_n += 1
-            elif st == CRITICAL_INNER:
-                r_c += 1
-            elif st == OUTER_PLACED:
-                r_p += 1
-            else:
-                r_m += 1
-            v = v.right
+        if v is not None:
+            while v is not d:
+                st = v.status
+                if st == NONCRITICAL_INNER:
+                    r_n += 1
+                elif st == OUTER_PLACED:
+                    r_p += 1
+                elif st == CRITICAL_INNER:
+                    r_c += 1
+                else:
+                    r_m += 1
+                v = v.right
+        tau = r_n + r_p + r_c + r_m
         t = self._stat_tally
-        n = self._size
-        phi0 = tau
-        phi1 = t[OUTER_PLACED] - r_p
-        phi2 = 0 if n == 0 else min(tau, plastic_cap(n))
         phi3 = t[CRITICAL_INNER] - r_c
-        inner_nonroots = (t[NONCRITICAL_INNER] - r_n) + (t[CRITICAL_INNER] - r_c)
-        phi4 = self._rank_sum - inner_nonroots
-        phi5 = t[OUTER_MISPLACED] - r_m
-        phi6 = self._dangerous
-        return (phi0, phi1, phi2, phi3, phi4, phi5, phi6)
+        # plastic_cap(n) >= 3 for n >= 2, and one vertex makes one tree, so
+        # up to three trees are never capped
+        return (tau, t[OUTER_PLACED] - r_p,
+                tau if tau <= 3 else min(tau, plastic_cap(self._size)),
+                phi3, self._rank_sum - (t[NONCRITICAL_INNER] - r_n) - phi3,
+                t[OUTER_MISPLACED] - r_m, self._dangerous)

@@ -473,6 +473,26 @@ def test_meld_shifts_weighted_potential_by_phi2_only():
     assert wm == w1 + w2 + t2  # strictly increases, by exactly t2
     assert audit_state(g1) == []
 
+    # over the flat budget: a small heap's trees lose their own cap, so
+    # the charge grows with log_beta(n2 / n1); no trace melds, so no
+    # budget audit sees it
+    big = PadovanHeap()
+    small = PadovanHeap(big.arena)
+    for k in range(20000):
+        big.insert(k)
+    big.find_min()
+    for k in range(30):
+        small.insert(-1 - k)
+    assert big.potentials()[0] == 1 and small.potentials()[2] == 13
+    w = m.weighted(big.potentials()) + m.weighted(small.potentials())
+    steps = big.arena.counters.analysis_steps
+    big.meld(small)
+    assert big.arena.counters.analysis_steps == steps
+    assert big.potentials()[2] == 31  # 31 trees under a cap of 36
+    dw = m.weighted(big.potentials()) - w
+    assert dw == t2 * (31 - 13 - 1) == 34 > m.budget_const
+    assert audit_state(big) == []
+
 
 # ------------------------------------------------------- amortized audit
 
@@ -569,6 +589,21 @@ def test_budget_audit_matches_two_snapshot_reference(mode, n, seed, model):
     assert [v.render() for v in got] == [v.render() for v in ref_violations]
     if model.budget_const == 0:
         assert got  # every event is over a zero budget
+
+
+def test_audit_amortized_reads_the_potential_once_per_event(monkeypatch):
+    calls = 0
+    potentials = PadovanHeap.potentials
+
+    def counted(heap):
+        nonlocal calls
+        calls += 1
+        return potentials(heap)
+
+    monkeypatch.setattr(PadovanHeap, "potentials", counted)
+    events = gen_workload("competition", 5000, 0)
+    assert audit_amortized(events) == []
+    assert calls == len(events) + 1 == 20001
 
 
 def test_budget_charges_telescope():
