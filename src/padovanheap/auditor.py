@@ -82,17 +82,20 @@ class CostModel:
     def __init__(self, t=(1, 1, 2, 6, 6, 2, 3),
                  budget_const=30, budget_log=4):
         self.t = tuple(t)
-        assert len(self.t) == 7
+        if len(self.t) != 7:
+            raise ValueError("need seven weights t0..t6, got %d" % len(self.t))
         self.budget_const = budget_const
         self.budget_log = budget_log
         self.check_constraints()
 
     def check_constraints(self):
         t0, t1, t2, t3, t4, t5, t6 = self.t
-        assert t0 <= t1 < t2, "need t0 <= t1 < t2"
-        assert t1 < t5 < t6, "need t1 < t5 < t6"
-        assert t5 + t6 < t3, "need t5 + t6 < t3"
-        assert t5 + t6 < t4, "need t5 + t6 < t4"
+        for ok, rule in ((t0 <= t1 < t2, "t0 <= t1 < t2"),
+                         (t1 < t5 < t6, "t1 < t5 < t6"),
+                         (t5 + t6 < t3, "t5 + t6 < t3"),
+                         (t5 + t6 < t4, "t5 + t6 < t4")):
+            if not ok:
+                raise ValueError("need " + rule)
         return True
 
     def log_budget(self, n):
@@ -190,7 +193,7 @@ def _audit(heap, table=None):
     vertex's rank-rule violations come after the content violations, in
     the order the walk reached the vertices.
     """
-    live = heap.arena._live
+    live = heap._live
     d = heap._require_alive()
     cap = heap.size + 1
     if table is None:
@@ -247,7 +250,7 @@ def _audit(heap, table=None):
         inner = inner_idx = 0
         prev_rho = None
         for v in members:
-            # a live vertex of the arena; a Node hashes by identity
+            # a live vertex of the heap; a Node hashes by identity
             if isinstance(v, Node) and v in live:
                 if v in seen:
                     links.append(Violation("shared_vertex", key=v.key))
@@ -265,8 +268,6 @@ def _audit(heap, table=None):
             r = v.rank
             if v.child is not None:
                 stack.append(v)
-                if v is d:
-                    continue  # reached again, d always ends in shared_vertex
             elif r != 0:  # a leaf: size 1, not dangerous, rank 0 expected
                 if r < 0:
                     bad[v] = [Violation("negative_rank", key=v.key, rank=r)]
@@ -479,9 +480,9 @@ def check_structure(heap):
 
     Pass 1 checks the doubly linked lists themselves (right chains end at
     their owner, left links close the cycle, no vertex is shared, every
-    vertex is arena-live, the partition covers exactly heap.size vertices).
-    If pass 1 finds anything, those violations are returned alone — content
-    checks over broken links would be noise.
+    vertex is live in the heap, the partition covers exactly heap.size
+    vertices). If pass 1 finds anything, those violations are returned
+    alone — content checks over broken links would be noise.
 
     Pass 2 checks content: heap order (a child key that does not compare
     with its owner's is an incomparable_key), the placed-prefix layout,

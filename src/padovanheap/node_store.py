@@ -16,10 +16,10 @@ positions, all without a parent pointer:
 The end tests are sound because an owner's own `left` link lives in a
 disjoint list (or is the owner itself, for the self-linked dummy head).
 
-The arena keeps the set of live nodes themselves, not their ids (so stale
-handles are detectable; a membership test must first check that the handle
-is a Node, since another handle may not even hash), and owns the shared
-step counters that every heap built on it reports into.
+The arena allocates and frees vertices and owns the shared step counters
+that every heap built on it reports into. It keeps no liveness state: each
+PadovanHeap keeps the set of its own live vertices, so a handle of another
+heap is foreign even when the two heaps share an arena.
 """
 
 NONCRITICAL_INNER = 0
@@ -89,9 +89,8 @@ class StepCounters:
 
 
 class Arena:
-    """Allocator, liveness set and step counters, with the two list moves
-    that PadovanHeap makes as calls: move_front to place a child, and
-    concat to meld.
+    """Allocator and step counters, with the two list moves that PadovanHeap
+    makes as calls: move_front to place a child, and concat to meld.
 
     Every move on the three-link lists is priced as its plain two-step form:
     unlink the vertex into a self-linked singleton (1 write for a sole
@@ -119,21 +118,17 @@ class Arena:
                                                 an empty target, else 5
     """
 
-    __slots__ = ("counters", "_live")
+    __slots__ = ("counters",)
 
     def __init__(self):
         self.counters = StepCounters()
-        self._live = set()
 
     def alloc(self, key):
         v = Node(key)
-        self._live.add(v)
         self.counters.link_writes += 2  # left=self, right=self
         return v
 
     def free(self, v):
-        assert v in self._live, "double free / foreign node"
-        self._live.discard(v)
         # scrub links so a stale handle dereference fails fast; not counted
         # as work (deallocation bookkeeping, not algorithmic link surgery)
         v.left = None

@@ -97,6 +97,7 @@ class PadovanHeap:
     def __init__(self, arena=None):
         self.arena = arena if arena is not None else Arena()
         self._dummy = self.arena.alloc(None)  # self-linked owner of the root list
+        self._live = set()  # the live vertices themselves, dummy excluded
         self._size = 0
         # live vertices bucketed by raw status field (dummy excluded)
         self._stat_tally = [0, 0, 0, 0]
@@ -129,11 +130,10 @@ class PadovanHeap:
         return out
 
     def key_of(self, v):
-        d = self._dummy
-        if d is None:
+        if self._dummy is None:
             raise StaleHandleError(_CONSUMED)
-        # a live vertex of this arena; a non-Node handle may not even hash
-        if v is d or not isinstance(v, Node) or v not in self.arena._live:
+        # a live vertex of this heap; a non-Node handle may not even hash
+        if not isinstance(v, Node) or v not in self._live:
             raise StaleHandleError(_STALE % (v,))
         return v.key
 
@@ -391,7 +391,7 @@ class PadovanHeap:
         # the alloc_back row of Arena's table
         a = self.arena
         v = Node(key)
-        a._live.add(v)
+        self._live.add(v)
         first = d.child
         if first is None:
             v.right = d
@@ -413,11 +413,17 @@ class PadovanHeap:
         other._require_alive()
         if other is self:
             raise ValueError("meld of a heap with itself")
-        if other.arena is not self.arena:
-            raise ValueError("meld across arenas")
-        a = self.arena
-        a.concat(self._dummy, other._dummy)
+        # the concat is counted on this heap's arena; each arena keeps the
+        # steps made on it before the meld
+        self.arena.concat(self._dummy, other._dummy)
         self._size += other._size
+        # merge the smaller live set into the larger
+        live = self._live
+        olive = other._live
+        if len(live) < len(olive):
+            live, olive = olive, live
+            self._live = live
+        live |= olive
         t = self._stat_tally
         ot = other._stat_tally
         for i in range(4):
@@ -426,8 +432,9 @@ class PadovanHeap:
         self._dangerous += other._dangerous
         if other.max_rank_seen > self.max_rank_seen:
             self.max_rank_seen = other.max_rank_seen
-        a.free(other._dummy)
+        other.arena.free(other._dummy)
         other._dummy = None
+        other._live = set()
         other._size = 0
         return self
 
@@ -613,11 +620,10 @@ class PadovanHeap:
         return key
 
     def decrease_key(self, v, new_key):
-        d = self._dummy
-        if d is None:
+        if self._dummy is None:
             raise StaleHandleError(_CONSUMED)
-        # a live vertex of this arena; a non-Node handle may not even hash
-        if v is d or not isinstance(v, Node) or v not in self.arena._live:
+        # a live vertex of this heap; a non-Node handle may not even hash
+        if not isinstance(v, Node) or v not in self._live:
             raise StaleHandleError(_STALE % (v,))
         if new_key > v.key:
             raise KeyIncreaseError(
@@ -626,11 +632,10 @@ class PadovanHeap:
         v.key = new_key
 
     def delete(self, v):
-        d = self._dummy
-        if d is None:
+        if self._dummy is None:
             raise StaleHandleError(_CONSUMED)
-        # a live vertex of this arena; a non-Node handle may not even hash
-        if v is d or not isinstance(v, Node) or v not in self.arena._live:
+        # a live vertex of this heap; a non-Node handle may not even hash
+        if not isinstance(v, Node) or v not in self._live:
             raise StaleHandleError(_STALE % (v,))
         self._cut(v)
         # the cut moved neither v's rank nor its children, so v's danger
@@ -646,7 +651,6 @@ class PadovanHeap:
         out: m's children become roots at the right end, in order, in O(1).
         """
         d = self._dummy
-        a = self.arena
         kid = m.child
         prev = m.left
         if prev is m:  # the sole root: its children, if any, replace it
@@ -678,12 +682,12 @@ class PadovanHeap:
                 k_last.right = d
                 first.left = k_last
                 writes = 9
-        live = a._live
+        live = self._live
         assert m in live, "double free / foreign node"
         live.discard(m)
         # scrub links so a stale handle dereference fails fast; not counted
         m.left = m.right = m.child = None
-        a.counters.link_writes += writes
+        self.arena.counters.link_writes += writes
         self._stat_tally[m.status] -= 1
         self._rank_sum -= m.rank
         self._size -= 1

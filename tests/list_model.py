@@ -44,9 +44,9 @@ def probe(v):
     return SECOND_LAST, v.right.right
 
 
-def is_live(arena, v):
-    """Whether v is a live vertex of arena; a non-Node handle is not."""
-    return isinstance(v, Node) and v in arena._live
+def is_live(heap, v):
+    """Whether v is a live vertex of heap; a non-Node handle is not."""
+    return isinstance(v, Node) and v in heap._live
 
 
 def detach(a, v, owner=None):

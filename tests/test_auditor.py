@@ -71,12 +71,14 @@ def test_cost_model_constraints():
     m = CostModel()
     assert m.t == (1, 1, 2, 6, 6, 2, 3)
     m.check_constraints()  # t0 <= t1 < t2, t1 < t5 < t6, t5+t6 < t3, t5+t6 < t4
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CostModel(t=(1, 1, 1, 6, 6, 2, 3))   # needs t1 < t2
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CostModel(t=(1, 1, 2, 5, 6, 2, 3))   # needs t5+t6 < t3
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         CostModel(t=(2, 1, 2, 6, 6, 2, 3))   # needs t0 <= t1
+    with pytest.raises(ValueError):
+        CostModel(t=(1, 1, 2, 6, 6, 2))      # needs seven weights
     assert m.log_budget(0) == m.log_budget(1) == m.budget_log
     assert m.log_budget(1000) > m.log_budget(10) > m.budget_log
 
@@ -94,7 +96,7 @@ def test_verify_tallies_clean_then_corrupted():
     for _ in range(120):
         h.delete_min()
     for v in rng.sample(hs, 40):
-        if is_live(h.arena, v):
+        if is_live(h, v):
             h.decrease_key(v, v.key - 10**6)
     assert verify_tallies(h) == []
     h._rank_sum += 1  # sabotage the incremental tally
@@ -193,16 +195,17 @@ def test_detect_size_mismatch():
 
 @pytest.mark.parametrize("foreign_keys", [(), (20, 21, 22)])
 def test_foreign_head_below_a_leaf_is_reported_not_raised(foreign_keys):
-    # Another heap's head (same arena, key None) hung below leaf 8, its own
-    # root list kept. Its key compares with no vertex's key.
+    # Another heap's head (key None) hung below leaf 8, its own root list
+    # kept. Its key compares with no vertex's key.
     h, hs = build8()
-    other = PadovanHeap(h.arena)
-    for k in foreign_keys:
-        other.insert(k)
+    other = PadovanHeap()
+    fs = [other.insert(k) for k in foreign_keys]
     x = other.dummy
     x.left = x
     x.right = hs[8]
     hs[8].child = x
+    assert kinds_of(h) == {"dead_vertex"}  # x and fs are not h's
+    h._live.update([x] + fs)  # counted live in h
     assert kinds_of(h) == {"size_mismatch"}
     h._size += 1 + other.size  # every reachable vertex accounted for
     vs = audit_state(h)
@@ -319,7 +322,7 @@ def test_comparisons_only_between_roots():
     for _ in range(80):
         h.delete_min()
     for v in hs:
-        if is_live(h.arena, v):
+        if is_live(h, v):
             key = Key(v.key.value - 10**5)
             key.vertex = v
             h.decrease_key(v, key)
@@ -784,8 +787,8 @@ def test_one_walk_audit_matches_separate_walks_on_corrupted_states():
 # frozen_walk and frozen_audit are the one-walk audit as it stood when its
 # maps were keyed by id() and it called _rho and _is_dangerous per vertex,
 # except that a negative rank gets no size bound, as in the audit, and that
-# its liveness test, then an Arena method, is list_model.is_live. The
-# faster audit must give the same four outputs, in the same order.
+# its liveness test is list_model.is_live, a lookup in the heap's own live
+# set. The faster audit must give the same four outputs, in the same order.
 
 def _frozen_is_dangerous(v):
     if v.rank == 0 or v.child is None:
@@ -797,7 +800,6 @@ def _frozen_is_dangerous(v):
 
 
 def frozen_walk(heap):
-    arena = heap.arena
     d = heap.dummy
     cap = heap.size + 1
     violations = []
@@ -833,7 +835,7 @@ def frozen_walk(heap):
             if id(v) in seen:
                 violations.append(Violation("shared_vertex", key=v.key))
                 continue
-            if not is_live(arena, v):
+            if not is_live(heap, v):
                 violations.append(Violation("dead_vertex", key=v.key))
             seen[id(v)] = v
             if v.child is not None:

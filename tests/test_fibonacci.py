@@ -668,16 +668,26 @@ def test_a_raising_comparison_in_insert_or_decrease_key(cls, op):
 
 # ------------------------------------------------- meld against the oracle
 
+def assert_sound(h):
+    """validate() a FibonacciHeap; audit a PadovanHeap."""
+    if isinstance(h, FibonacciHeap):
+        h.validate()
+    else:
+        assert audit_state(h) == []
+
+
+@pytest.mark.parametrize("cls", [PadovanHeap, FibonacciHeap])
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from("iiiimkkxd"), st.integers(0, 2),
                           st.integers(0, 2), st.integers(0, 10**6)),
                 min_size=1, max_size=80))
-def test_interleaved_melds_match_oracle(ops):
+def test_interleaved_melds_match_oracle(cls, ops):
     """Three heaps, each beside an Oracle, under interleaved inserts,
     decrease_keys, deletes, delete_mins and melds. A meld hands the donor's
     handles to the taker and replaces the donor with a fresh heap; handles
-    must stay valid on their heap and be rejected by every other."""
-    heaps = [FibonacciHeap() for _ in range(3)]
+    must stay valid on their heap and be rejected by every other. Each
+    heap is default-constructed, so padovan heaps meld across arenas."""
+    heaps = [cls() for _ in range(3)]
     oracles = [Oracle() for _ in range(3)]
     owned = [[] for _ in range(3)]  # [node, oracle handle] pairs per heap
     used = set()
@@ -697,7 +707,7 @@ def test_interleaved_melds_match_oracle(ops):
             with pytest.raises(StaleHandleError):
                 heaps[j].insert(0)
             mine += owned[j]
-            heaps[j], oracles[j], owned[j] = FibonacciHeap(), Oracle(), []
+            heaps[j], oracles[j], owned[j] = cls(), Oracle(), []
         elif op == "k":
             v, ho = mine[x % len(mine)]
             k = o.key_of(ho) - 1 - x % 1000
@@ -720,7 +730,7 @@ def test_interleaved_melds_match_oracle(ops):
                 oo.key_of(ho) for _, ho in own}
             if own:
                 assert hh.find_min().key == oo.key_of(oo.find_min())
-            hh.validate()
+            assert_sound(hh)
         # every live handle is rejected by the heaps that do not own it
         for a in range(3):
             for b in range(3):
@@ -730,14 +740,15 @@ def test_interleaved_melds_match_oracle(ops):
                             heaps[a].key_of(v)
 
 
-def test_meld_keeps_the_larger_live_set():
+@pytest.mark.parametrize("cls", [PadovanHeap, FibonacciHeap])
+def test_meld_keeps_the_larger_live_set(cls):
     """meld merges the smaller live set into the larger, whichever heap
     holds it, so a meld costs the smaller heap's size, not the sum."""
     for small_first in (True, False):
-        small, big = FibonacciHeap(), FibonacciHeap()
+        small, big = cls(), cls()
         hs = [small.insert(k) for k in (7, 3)]
         hb = [big.insert(k) for k in range(10, 60)]
-        third = FibonacciHeap().insert(1)
+        third = cls().insert(1)
         taker, donor = (small, big) if small_first else (big, small)
         big_live = big._live
         taker.meld(donor)
@@ -749,4 +760,4 @@ def test_meld_keeps_the_larger_live_set():
             taker.key_of(third)
         taker.decrease_key(hb[-1], 0)
         assert [taker.delete_min() for _ in range(3)] == [0, 3, 7]
-        taker.validate()
+        assert_sound(taker)

@@ -300,7 +300,7 @@ def test_delete_internal_promotes_children():
     assert five.child is not None
     h.delete(five)
     assert h.size == 7
-    assert not is_live(h.arena, five)
+    assert not is_live(h, five)
     audit_clean(h)
     out = []
     while not h.is_empty():
@@ -353,10 +353,9 @@ def test_consumed_heap_rejects_handles_and_views():
     audit_clean(h1)
 
 
-@pytest.mark.xfail(strict=True, reason="heaps do not track node ownership "
-                   "yet, so a handle of another heap on the same arena "
-                   "passes the liveness check")
 def test_foreign_nonroot_handle_is_rejected():
+    # two heaps on one arena: each checks handles against its own live set,
+    # so a non-root of b is foreign to a although the arena holds it
     a = PadovanHeap()
     b = PadovanHeap(a.arena)
     for k in range(10):
@@ -366,11 +365,11 @@ def test_foreign_nonroot_handle_is_rejected():
     b.find_min()
     roots = b.roots()
     v = [w for w in hs if w not in roots][-1]
-    # until then the cut moves v's subtree onto a's root list, and
-    # audit_state reports size_mismatch reachable=11 recorded=10 on a and
-    # reachable=9 recorded=10 on b
-    with pytest.raises(StaleHandleError):
-        a.decrease_key(v, -1)
+    before = (state_digest(a), state_digest(b))
+    for call in handle_calls(a, v):
+        with pytest.raises(StaleHandleError):
+            call()
+    assert (state_digest(a), state_digest(b)) == before
     audit_clean(a)
     audit_clean(b)
 
@@ -387,14 +386,21 @@ def test_meld_with_empty_both_ways():
 
 
 def test_meld_rejects_self_and_foreign_arena():
+    """Only a self-meld is rejected: heaps on two arenas meld, and each
+    arena keeps the steps made on it."""
     h1 = PadovanHeap()
     h2 = PadovanHeap()
     h1.insert(1)
-    h2.insert(2)
+    v = h2.insert(2)
     with pytest.raises(ValueError):
         h1.meld(h1)
-    with pytest.raises(ValueError):
-        h1.meld(h2)
+    steps2 = h2.arena.counters.snapshot()
+    h1.meld(h2)
+    assert h2.arena.counters.snapshot() == steps2
+    assert h1.size == 2 and h1.key_of(v) == 2
+    h1.decrease_key(v, 0)
+    assert h1.delete_min() == 0
+    audit_clean(h1)
 
 
 def test_stale_handle_after_delete_min():
@@ -449,7 +455,10 @@ def test_non_node_handles_are_stale(cls, monkeypatch):
     if cls is Oracle:
         assert h.key_of(1) == 2
     before = heap_digest(h)
-    for junk in ([], "x", None, 1.0, True):
+    junks = [[], "x", None, 1.0, True]
+    if cls is PadovanHeap:
+        junks.append(h.dummy)  # a Node, but never a live vertex
+    for junk in junks:
         for call in handle_calls(h, junk):
             with pytest.raises(StaleHandleError):
                 call()
@@ -458,8 +467,8 @@ def test_non_node_handles_are_stale(cls, monkeypatch):
 
 @pytest.mark.parametrize("cls", [PadovanHeap, FibonacciHeap])
 def test_handles_of_another_heap_are_rejected(cls):
-    """Each heap has its own arena (padovan) or live set (fibonacci), so a
-    live handle of the other is foreign, root or not."""
+    """Each heap has its own live set, so a live handle of the other is
+    foreign, root or not; so is the other padovan heap's dummy head."""
     a, b = cls(), cls()
     for k in range(1, 9):
         a.insert(k)
@@ -467,7 +476,7 @@ def test_handles_of_another_heap_are_rejected(cls):
     a.delete_min()
     b.delete_min()  # both heaps now hold trees, so hb has non-root handles
     before = (heap_digest(a), heap_digest(b))
-    for v in hb[1:]:
+    for v in hb[1:] + ([b.dummy] if cls is PadovanHeap else []):
         for call in handle_calls(a, v):
             with pytest.raises(StaleHandleError):
                 call()
@@ -567,8 +576,8 @@ class TwoStepHeap(PadovanHeap):
     surgery is checked against."""
 
     def _check_handle(self, v):
-        d = self._require_alive()
-        if v is d or not is_live(self.arena, v):
+        self._require_alive()
+        if not is_live(self, v):
             raise StaleHandleError("dead or foreign handle: %r" % (v,))
 
     def key_of(self, v):
@@ -578,6 +587,7 @@ class TwoStepHeap(PadovanHeap):
     def insert(self, key):
         d = self._require_alive()
         v = self.arena.alloc(key)
+        self._live.add(v)
         push_back(self.arena, d, v)
         self._stat_tally[NONCRITICAL_INNER] += 1
         self._size += 1
@@ -613,6 +623,7 @@ class TwoStepHeap(PadovanHeap):
         self._stat_tally[m.status] -= 1
         self._rank_sum -= m.rank
         self._size -= 1
+        self._live.remove(m)
         a.free(m)
 
     def _cut(self, v):
@@ -768,7 +779,7 @@ def state_digest(h):
                 break
             w = w.right
     return hash((h.arena.counters.snapshot(), h.potentials(),
-                 h.max_rank_seen, len(h.arena._live), tuple(flat)))
+                 h.max_rank_seen, len(h._live), tuple(flat)))
 
 
 @pytest.mark.parametrize("mode, n, seeds", [
