@@ -178,7 +178,7 @@ def iter_vertices(heap):
             stack.extend(reversed(children(v)))
 
 
-def _audit(heap, table=None):
+def _audit(heap):
     """Audit the forest in one bounded walk; every check is made in it.
 
     Returns (structure, undersized, tallies, phis): the violations of
@@ -196,8 +196,7 @@ def _audit(heap, table=None):
     live = heap._live
     d = heap._require_alive()
     cap = heap.size + 1
-    if table is None:
-        table = _bounds(heap.max_rank_seen + 1)
+    table = _bounds(heap.max_rank_seen + 1)
     links = []     # pass 1
     content = []   # pass 2, per child list
     bad = {}       # pass 2, per vertex: vertex -> its violations
@@ -495,7 +494,7 @@ def check_structure(heap):
     return _audit(heap)[0]
 
 
-def check_size_bounds(heap, table=None):
+def check_size_bounds(heap):
     """Check |active closure|(v) >= P(r_v) for every vertex.
 
     The active children of v are the rule-designated rightmost inner child
@@ -504,7 +503,7 @@ def check_size_bounds(heap, table=None):
     skipped the same way the seek phase would skip them.  Violations come
     parents before children.
     """
-    return _audit(heap, table)[1]
+    return _audit(heap)[1]
 
 
 def check_root_safety(heap):

@@ -9,12 +9,12 @@ link fields, comparisons counts key comparisons between two nodes. Mark and
 degree updates are bookkeeping on non-link fields and are not counted; the
 min-pointer is heap state, not a node link.
 
-Each operation writes its ring surgery and degree-histogram updates out
-inline, counts its steps in locals and adds them to `counters` once per
-operation (delete_min in a `finally`). The counts are those of the plain
-form that makes each ring move as a call, which tests/test_fibonacci.py
-keeps as the reference: every ring move is charged in full, even where
-the inline form skips a write that the next move overwrites,
+Each operation writes its ring surgery out inline, counts its steps in
+locals and adds them to `counters` once per operation (delete_min in a
+`finally`). The counts are those of the plain form that makes each ring
+move as a call, which tests/test_fibonacci.py keeps as the reference:
+every ring move is charged in full, even where the inline form skips a
+write that the next move overwrites,
 
     splice v out of its ring, leaving v a singleton    4
     insert a singleton into a ring                     4
@@ -22,6 +22,10 @@ the inline form skips a write that the next move overwrites,
 
 plus one per parent or child link written, and two for a new node's
 self-links.
+
+The heap keeps no degree state beyond each node's degree and the run's
+peak, max_degree_seen. current_max_degree() is a check: it walks the whole
+forest, O(n), as validate() does.
 """
 
 from .errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
@@ -60,7 +64,6 @@ class FibonacciHeap:
         self._consumed = None  # or why every operation now raises
         self.counters = StepCounters()
         self.max_degree_seen = 0
-        self._deg_hist = [0] * 8  # live-node count per degree
 
     @property
     def size(self):
@@ -75,12 +78,26 @@ class FibonacciHeap:
         return v.key
 
     def current_max_degree(self):
-        """Largest degree present among live nodes (O(max degree))."""
-        h = self._deg_hist
-        for d in range(len(h) - 1, -1, -1):
-            if h[d]:
-                return d
-        return 0
+        """Largest degree among live nodes, found by walking the whole
+        forest: O(n), a check like validate(). max_degree_seen is the
+        run's peak. The roots alone would not do: a root can lose any
+        number of children to cuts, so a non-root can have a higher
+        degree than every root."""
+        top = 0
+        m = self._min
+        stack = [] if m is None else [m]
+        while stack:
+            x = start = stack.pop()
+            while True:
+                d = x.degree
+                if d:
+                    if d > top:
+                        top = d
+                    stack.append(x.child)
+                x = x.right
+                if x is start:
+                    break
+        return top
 
     # -- operations -------------------------------------------------------
 
@@ -93,7 +110,6 @@ class FibonacciHeap:
         new_min = m is None or key < m.key
         v = FibNode(key)
         self._live.add(v)
-        self._deg_hist[0] += 1
         self._size += 1
         c = self.counters
         if m is None:
@@ -125,11 +141,7 @@ class FibonacciHeap:
         m = self._min
         if m is None:
             raise EmptyHeapError("delete_min on empty heap")
-        h = self._deg_hist
         self._live.discard(m)
-        d = m.degree
-        h[d] -= 1
-        assert h[d] >= 0
         self._size -= 1
         # m's children take m's place in the root ring, in their ring
         # order from child.right, as if concatenated right of m before m
@@ -179,10 +191,10 @@ class FibonacciHeap:
         m.left = m.right = m
         # consolidate: link roots of equal degree until degrees are
         # distinct. A root is linked only once visited, so the next one
-        # to visit stays in the ring
-        hn = len(h)
-        degs = [None] * hn
+        # to visit stays in the ring. No degree exceeds top, and the
+        # bucket array keeps one slot past it for a link to reach
         top = self.max_degree_seen
+        degs = [None] * (top + 2)
         cmps = 0
         try:
             x = first
@@ -220,17 +232,11 @@ class FibonacciHeap:
                         loser.right = ch
                         ch.left = loser
                         writes += 9
-                    h[d] -= 1
-                    assert h[d] >= 0
                     d += 1
                     w.degree = d
-                    if d == hn:
-                        h.extend([0] * d)
-                        degs.extend([None] * d)
-                        hn += d
-                    h[d] += 1
                     if d > top:
                         top = d
+                        degs.append(None)
                 if x is last:
                     break
                 x = nxt
@@ -292,7 +298,6 @@ class FibonacciHeap:
         the cascade: cut each marked non-root parent in turn, and mark the
         first unmarked one. Roots are never marked."""
         m = self._min
-        h = self._deg_hist
         writes = 0
         while True:
             p = v.parent
@@ -311,11 +316,7 @@ class FibonacciHeap:
                 writes += 9  # the splice, v.parent, the ring insert
             v.parent = None
             v.marked = False
-            d = p.degree
-            h[d] -= 1
-            assert h[d] >= 0
-            p.degree = d - 1
-            h[d - 1] += 1
+            p.degree -= 1
             # insert v left of the min
             a = m.left
             a.right = v
@@ -361,12 +362,6 @@ class FibonacciHeap:
             live, olive = olive, live
             self._live = live
         live |= olive
-        h = self._deg_hist
-        for d, n in enumerate(other._deg_hist):
-            if n:
-                while d >= len(h):
-                    h.extend([0] * len(h))
-                h[d] += n
         if other.max_degree_seen > self.max_degree_seen:
             self.max_degree_seen = other.max_degree_seen
         co = other.counters

@@ -4,6 +4,10 @@ A dict of live handles plus a lazily-cleaned binary heap of (key, id)
 pairs. Handles are plain ints drawn from a process-wide counter, so handles
 from melded oracles never collide. delete_min removes exactly the handle
 find_min returns: the lowest-id element among those with the minimal key.
+An oracle consumed by meld raises StaleHandleError on every later call, as
+the heaps do. It holds no keys, so key_of needs no test for it, and
+find_min, delete_min, decrease_key and delete test for it only on their
+empty-heap or dead-handle path.
 """
 
 import heapq
@@ -12,6 +16,7 @@ import itertools
 from .errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 
 _next_handle = itertools.count(1)
+_CONSUMED = "heap was consumed by meld"
 
 
 class Oracle:
@@ -19,6 +24,7 @@ class Oracle:
     def __init__(self):
         self._keys = {}          # handle -> current key
         self._heap = []          # (key, handle), may contain stale entries
+        self._consumed = None    # or why every operation now raises
 
     @property
     def size(self):
@@ -28,6 +34,8 @@ class Oracle:
         return not self._keys
 
     def insert(self, key):
+        if self._consumed:
+            raise StaleHandleError(self._consumed)
         h = next(_next_handle)
         self._keys[h] = key
         heapq.heappush(self._heap, (key, h))
@@ -46,11 +54,15 @@ class Oracle:
 
     def find_min(self):
         if not self._keys:
+            if self._consumed:
+                raise StaleHandleError(self._consumed)
             raise EmptyHeapError("find_min on empty heap")
         return self._settle()
 
     def delete_min(self):
         if not self._keys:
+            if self._consumed:
+                raise StaleHandleError(self._consumed)
             raise EmptyHeapError("delete_min on empty heap")
         h = self._settle()
         key, _ = heapq.heappop(self._heap)
@@ -75,7 +87,8 @@ class Oracle:
                 keys[h] = new_key
                 heapq.heappush(self._heap, (new_key, h))
                 return
-        raise StaleHandleError("decrease_key on dead handle %r" % (h,))
+        raise StaleHandleError(
+            self._consumed or "decrease_key on dead handle %r" % (h,))
 
     def delete(self, h):
         if type(h) is int:
@@ -84,7 +97,8 @@ class Oracle:
                 return
             except KeyError:
                 pass
-        raise StaleHandleError("delete on dead handle %r" % (h,))
+        raise StaleHandleError(
+            self._consumed or "delete on dead handle %r" % (h,))
 
     def key_of(self, h):
         if type(h) is int:
@@ -95,6 +109,8 @@ class Oracle:
         raise StaleHandleError("key_of on dead handle %r" % (h,))
 
     def meld(self, other):
+        if self._consumed or other._consumed:
+            raise StaleHandleError(self._consumed or other._consumed)
         if other is self:
             raise ValueError("meld with self")
         self._keys.update(other._keys)
@@ -102,4 +118,5 @@ class Oracle:
             heapq.heappush(self._heap, item)
         other._keys = {}
         other._heap = []
+        other._consumed = _CONSUMED
         return self

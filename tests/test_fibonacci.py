@@ -222,10 +222,12 @@ def test_padovan_trades_link_writes_for_comparisons(mode, n, seed, per_event,
 # ------------------------------------- inline surgery against helper calls
 
 class CallFibonacciHeap(FibonacciHeap):
-    """Every ring move, histogram update and check made through a helper
-    call, every step counted where it is taken, and the cascade of cuts
-    made by _cascading_cut after _cut: the helper form that the heap's
-    inline surgery is checked against."""
+    """Every ring move and check made through a helper call, every step
+    counted where it is taken, and the cascade of cuts made by
+    _cascading_cut after _cut: the helper form that the heap's inline
+    surgery is checked against. It keeps no degree state beyond each
+    node's degree and the peak, max_degree_seen; current_max_degree()
+    walks the forest, an O(n) check."""
 
     def key_of(self, v):
         self._check_handle(v)
@@ -239,22 +241,10 @@ class CallFibonacciHeap(FibonacciHeap):
         if not isinstance(v, FibNode) or v not in self._live:
             raise StaleHandleError("dead or foreign handle: %r" % (v,))
 
-    def _hist_inc(self, d):
-        h = self._deg_hist
-        while d >= len(h):
-            h.extend([0] * len(h))
-        h[d] += 1
+    def _set_degree(self, v, d):
+        v.degree = d
         if d > self.max_degree_seen:
             self.max_degree_seen = d
-
-    def _hist_dec(self, d):
-        self._deg_hist[d] -= 1
-        assert self._deg_hist[d] >= 0
-
-    def _set_degree(self, v, d):
-        self._hist_dec(v.degree)
-        v.degree = d
-        self._hist_inc(d)
 
     def _splice_out(self, v):
         v.left.right = v.right
@@ -289,7 +279,6 @@ class CallFibonacciHeap(FibonacciHeap):
         v = FibNode(key)
         self.counters.link_writes += 2  # left=self, right=self
         self._live.add(v)
-        self._hist_inc(0)
         if m is not None:
             self._ring_insert(m, v)
             self.counters.comparisons += 1
@@ -325,7 +314,6 @@ class CallFibonacciHeap(FibonacciHeap):
             c.link_writes += 1
             self._ring_concat(m, child)
         self._live.discard(m)
-        self._hist_dec(m.degree)
         self._size -= 1
         if m.right is m:
             self._min = None
@@ -453,13 +441,6 @@ class CallFibonacciHeap(FibonacciHeap):
                     self._min = other._min
         self._size += other._size
         self._live |= other._live
-        oh = other._deg_hist
-        for d in range(len(oh)):
-            if oh[d]:
-                h = self._deg_hist
-                while d >= len(h):
-                    h.extend([0] * len(h))
-                h[d] += oh[d]
         if other.max_degree_seen > self.max_degree_seen:
             self.max_degree_seen = other.max_degree_seen
         co, cs = other.counters, self.counters
@@ -473,10 +454,10 @@ class CallFibonacciHeap(FibonacciHeap):
 
 
 def ring_state(h):
-    """The counters, degree histogram, peak degree and size, and the root
-    ring's (key, degree, marked) in ring order from the min."""
+    """The counters, current and peak degree and size, and the root ring's
+    (key, degree, marked) in ring order from the min."""
     c = h.counters
-    return (c.link_writes, c.comparisons, tuple(h._deg_hist),
+    return (c.link_writes, c.comparisons, h.current_max_degree(),
             h.max_degree_seen, h.size,
             tuple((r.key, r.degree, r.marked) for r in h.roots()))
 
@@ -495,6 +476,12 @@ def forest(h):
     return ring(h._min)
 
 
+def forest_max_degree(rings):
+    """The largest degree in forest()'s nested rings, by brute force."""
+    return max((max(d, forest_max_degree(kids)) for _, d, _, kids in rings),
+               default=0)
+
+
 @pytest.mark.parametrize("mode, n, seeds", [
     ("random", 3000, range(1, 9)),
     ("competition", 2000, [0]),
@@ -510,11 +497,40 @@ def test_inline_surgery_matches_helper_calls(mode, n, seeds):
         h = FibonacciHeap()
 
         def same_state(i, ev):
-            assert ring_state(h) == states[i], (seed, i, ev)
+            state = ring_state(h)
+            assert state == states[i], (seed, i, ev)
+            # current_max_degree() against every live node's degree
+            top = max((v.degree for v in h._live), default=0)
+            assert state[2] == top, (seed, i, ev)
 
         assert replay(events, h, after=same_state) == ref_out
-        assert forest(h) == forest(ref)
+        rings = forest(h)
+        assert rings == forest(ref)
+        assert h.current_max_degree() == forest_max_degree(rings)
         h.validate()
+
+
+def test_current_max_degree_sees_below_the_roots():
+    """Cuts strip the largest root of every child but its highest-degree
+    one, so that child, a non-root, outdegrees every root; the walk still
+    finds it."""
+    h = FibonacciHeap()
+    for k in range(-1, 64):
+        h.insert(k)
+    h.delete_min()  # 0..63 consolidate into one tree of degree 6
+    top = max(h.roots(), key=lambda r: r.degree)
+    kids = [top.child]
+    while kids[-1].right is not top.child:
+        kids.append(kids[-1].right)
+    keep = max(kids, key=lambda c: c.degree)
+    for c in kids:
+        if c is not keep:
+            h.decrease_key(c, top.key - 1 - c.key)
+    h.validate()
+    assert keep.parent is top and top.degree == 1
+    assert keep.degree > max(r.degree for r in h.roots())
+    assert h.current_max_degree() == keep.degree
+    assert h.current_max_degree() == forest_max_degree(forest(h))
 
 
 def error_of(call):

@@ -1,6 +1,6 @@
 import pytest
 
-from padovanheap import Oracle
+from padovanheap import FibonacciHeap, Oracle, PadovanHeap
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 
 
@@ -80,3 +80,22 @@ def test_handles_globally_unique_across_oracles():
     assert ha != hb
     a.meld(b)
     assert a.key_of(ha) == a.key_of(hb) == 1
+
+
+@pytest.mark.parametrize("cls", [Oracle, PadovanHeap, FibonacciHeap])
+def test_consumed_heap_raises_like_the_heaps(cls):
+    """After a.meld(b), every call on b, and a meld with b on either side,
+    raises StaleHandleError on the oracle as on both heaps."""
+    a, b = cls(), cls()
+    a.insert(1)
+    v = b.insert(2)
+    a.meld(b)
+    calls = [lambda: b.insert(5), b.find_min, b.delete_min,
+             lambda: b.decrease_key(v, 0), lambda: b.delete(v),
+             lambda: b.key_of(v), lambda: b.meld(cls()),
+             lambda: cls().meld(b)]
+    for call in calls:
+        with pytest.raises(StaleHandleError):
+            call()
+    assert b.size == 0 and a.size == 2
+    assert a.key_of(v) == 2
