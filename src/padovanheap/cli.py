@@ -14,7 +14,7 @@ import argparse
 import contextlib
 import csv
 import sys
-from itertools import islice
+from itertools import islice, zip_longest
 
 from .auditor import BudgetAudit, audit_state, check_root_safety, children
 from .errors import HeapError
@@ -143,20 +143,13 @@ def _cmd_run(args):
                     outputs[impl] = replay(events, heaps[impl])
             ref = outputs["padovan"]
             for impl in ("fibonacci", "oracle"):
-                if outputs[impl] != ref:
-                    i = next(j for j in range(max(len(ref),
-                                                  len(outputs[impl])))
-                             if j >= len(ref) or j >= len(outputs[impl])
-                             or ref[j] != outputs[impl][j])
-                    print("differential mismatch at output %d: "
-                          "padovan=%r %s=%r"
-                          % (i,
-                             ref[i] if i < len(ref) else None,
-                             impl,
-                             outputs[impl][i]
-                             if i < len(outputs[impl]) else None),
-                          file=sys.stderr)
-                    return 1
+                for i, (want, got) in enumerate(
+                        zip_longest(ref, outputs[impl])):
+                    if want != got:
+                        print("differential mismatch at output %d: "
+                              "padovan=%r %s=%r" % (i, want, impl, got),
+                              file=sys.stderr)
+                        return 1
             heap = heaps["padovan"]
             impl_name = "padovan"
             out = ref

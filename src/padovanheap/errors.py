@@ -1,4 +1,10 @@
-"""Exception types shared by all three priority-queue implementations."""
+"""Exception types and messages shared by all three priority-queue
+implementations."""
+
+# StaleHandleError messages: every call on a heap consumed by meld, and a
+# handle that is not live in the heap it is passed to
+CONSUMED = "heap was consumed by meld"
+STALE = "dead or foreign handle: %r"
 
 
 class HeapError(Exception):

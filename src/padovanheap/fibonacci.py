@@ -28,12 +28,16 @@ peak, max_degree_seen. current_max_degree() is a check: it walks the whole
 forest, O(n), as validate() does.
 """
 
-from .errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
+from .errors import (
+    CONSUMED,
+    STALE,
+    EmptyHeapError,
+    KeyIncreaseError,
+    StaleHandleError,
+)
 from .node_store import StepCounters
 
-_CONSUMED = "heap was consumed by meld"
 _BROKEN = "heap was dropped: a key comparison raised in delete_min"
-_STALE = "dead or foreign handle: %r"
 
 
 class FibNode:
@@ -74,7 +78,7 @@ class FibonacciHeap:
 
     def key_of(self, v):
         if not isinstance(v, FibNode) or v not in self._live:
-            raise StaleHandleError(_STALE % (v,))
+            raise StaleHandleError(STALE % (v,))
         return v.key
 
     def current_max_degree(self):
@@ -266,7 +270,7 @@ class FibonacciHeap:
         if self._consumed:
             raise StaleHandleError(self._consumed)
         if not isinstance(v, FibNode) or v not in self._live:
-            raise StaleHandleError(_STALE % (v,))
+            raise StaleHandleError(STALE % (v,))
         if new_key > v.key:
             raise KeyIncreaseError(
                 "decrease_key %r -> %r is an increase" % (v.key, new_key))
@@ -286,7 +290,7 @@ class FibonacciHeap:
         if self._consumed:
             raise StaleHandleError(self._consumed)
         if not isinstance(v, FibNode) or v not in self._live:
-            raise StaleHandleError(_STALE % (v,))
+            raise StaleHandleError(STALE % (v,))
         if v.parent is not None:
             self._cut(v)
         # v is a root now; force it to be the one delete_min removes
@@ -367,7 +371,7 @@ class FibonacciHeap:
         co = other.counters
         cs.link_writes += co.link_writes
         cs.comparisons += co.comparisons
-        other._drop(_CONSUMED)
+        other._drop(CONSUMED)
         return self
 
     def _drop(self, reason):

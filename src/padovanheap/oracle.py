@@ -13,10 +13,14 @@ empty-heap or dead-handle path.
 import heapq
 import itertools
 
-from .errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
+from .errors import (
+    CONSUMED,
+    EmptyHeapError,
+    KeyIncreaseError,
+    StaleHandleError,
+)
 
 _next_handle = itertools.count(1)
-_CONSUMED = "heap was consumed by meld"
 
 
 class Oracle:
@@ -118,5 +122,5 @@ class Oracle:
             heapq.heappush(self._heap, item)
         other._keys = {}
         other._heap = []
-        other._consumed = _CONSUMED
+        other._consumed = CONSUMED
         return self

@@ -25,8 +25,7 @@ child, winner rank +1) until the bucket is free; surviving roots have
 pairwise distinct ranks and occupy exactly their own buckets. Phase 2
 repeatedly links the last root with the second last (loser pushed to the
 front of the winner's children as an outer placed child, ranks unchanged),
-continuing leftward cyclically until one root remains, and clears each
-loser's bucket and at the end the last root's. So no dangerous root
+continuing leftward cyclically until one root remains. So no dangerous root
 survives find_min. Neither joins nor links change the dangerous-vertex
 count: a join gives a safe winner a noncritical rightmost child of rank r
 and the rank r + 1, and a link keeps the winner's rank and rightmost child,
@@ -59,18 +58,27 @@ hands to find_min. Either way the root is safe, so it leaves without a probe.
 
 The hot list moves and probes are written out in the operation that makes
 them, so that each op's common case runs in one Python frame: insert's
-append to the root list, find_min's joins and links, _cut's position probes,
-danger probes and move onto the root list, _remove_root's unlink, promotion
-and free, and the liveness check of key_of, decrease_key and delete. Each
-move counts the link writes of its row in Arena's table: insert is
-alloc_back, a join is join_back, a link is join_front, the cut's move is
-join_back, and a root removal is detach_promote. Placing a child
-(Arena.move_front), the rank rules and make_safe stay calls.
+append to the root list, find_min's joins and links, _cut's position probes
+and move onto the root list, _remove_root's unlink, promotion and free, and
+the liveness check of key_of, decrease_key and delete. Each move counts the
+link writes of its row in Arena's table: insert is alloc_back, a join is
+join_back, a link is join_front, the cut's move is join_back, and a root
+removal is detach_promote. Placing a child (Arena.move_front), the rank
+rules and make_safe stay calls, and _cut's danger probes call
+_is_dangerous. find_min and delete_min keep the danger test written out,
+since they run it on every root and the call measured slower (see
+find_min).
 """
 
 import math
 
-from .errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
+from .errors import (
+    CONSUMED,
+    STALE,
+    EmptyHeapError,
+    KeyIncreaseError,
+    StaleHandleError,
+)
 from .node_store import (
     Arena,
     CRITICAL_INNER,
@@ -82,8 +90,6 @@ from .node_store import (
 
 PLASTIC = 1.324717957244746
 _LOG_PLASTIC = math.log(PLASTIC)
-_CONSUMED = "heap was consumed by meld"
-_STALE = "dead or foreign handle: %r"
 
 
 def plastic_cap(n):
@@ -104,7 +110,6 @@ class PadovanHeap:
         self._rank_sum = 0
         self._dangerous = 0
         self.max_rank_seen = 0
-        self._buckets = [None] * 64
 
     # -- bookkeeping helpers -------------------------------------------
 
@@ -131,17 +136,17 @@ class PadovanHeap:
 
     def key_of(self, v):
         if self._dummy is None:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(CONSUMED)
         # a live vertex of this heap; a non-Node handle may not even hash
         if not isinstance(v, Node) or v not in self._live:
-            raise StaleHandleError(_STALE % (v,))
+            raise StaleHandleError(STALE % (v,))
         return v.key
 
     def _require_alive(self):
         """Return the dummy head; a heap consumed by meld has none."""
         d = self._dummy
         if d is None:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(CONSUMED)
         return d
 
     def _set_status(self, v, st):
@@ -242,13 +247,10 @@ class PadovanHeap:
         A vertex's danger test reads only its rank, its rightmost child and
         that child's rho, so the tally of each vertex the cascade changes is
         settled by one probe before its first change and one after its last;
-        the deltas of any probes in between would telescope. Each probe is
-        the danger test written out. A probed vertex of nonzero rank has a
-        child: it is v's or p's parent, or a p that _recompute_rank would
-        have left at rank 0 without one. So the probe reads its child link
-        without a None test.
+        the deltas of any probes in between would telescope.
         """
         d = self._dummy
+        dangerous = self._is_dangerous
         nxt = v.right
         prev = v.left
         # v's position, by the among-the-last-two end test
@@ -262,14 +264,7 @@ class PadovanHeap:
             p = nxt if nxt.left is not v else nxt.right  # last : second last
             if p.right is p:
                 return  # v is a root already
-            r = p.rank  # before the move: p loses a child
-            if r:
-                w0 = p.child.left
-                st = w0.status
-                p_pre = (st == NONCRITICAL_INNER and r <= w0.rank
-                         or st == CRITICAL_INNER and r <= w0.rank + 1)
-            else:
-                p_pre = False
+            p_pre = dangerous(p)  # before the move: p loses a child
         # the join_back row of Arena's table: 3 writes to unlink a sole
         # member, else 4, and 4 to append. The root list keeps v's tree
         # root, or other roots besides v, so it is never empty.
@@ -300,40 +295,24 @@ class PadovanHeap:
             return
         while True:
             old = p.rank
-            # p's position, by the end tests. p's rank is about to
-            # change; when p is the rightmost child of a real parent, that
-            # parent's danger test reads rho(p), so its state before this
-            # iteration is probed now, for the next one.
+            # p's position, by the end tests. p's rank is about to change;
+            # when p is among the last two children, its parent g's state
+            # before this iteration is probed now, for the next one. A last
+            # p moves g's test; a second-last p does not, so probing g early
+            # gives the answer a probe after p's changes would.
             nxt = p.right
-            g_pre = None
             if nxt.right.left.left is p:
                 g = None  # not among the last two
-            elif nxt.left is p:
-                g = nxt.right  # second last
             else:
-                # last: g is a real parent, since v is the last root now
-                # and every later p is a nonroot
-                g = nxt
-                r = g.rank
-                if r:
-                    w0 = g.child.left
-                    st = w0.status
-                    g_pre = (st == NONCRITICAL_INNER and r <= w0.rank
-                             or st == CRITICAL_INNER and r <= w0.rank + 1)
-                else:
-                    g_pre = False
+                # last : second last
+                g = nxt if nxt.left is not p else nxt.right
+                g_pre = dangerous(g)
             r = self._recompute_rank(p)
             delta = old - r
             assert delta >= 0, "rank increased during cascade"
             # p's own test is settled: what follows moves p or changes its
             # status, which only its parent's test reads
-            if r:
-                w0 = p.child.left
-                st = w0.status
-                p_post = (st == NONCRITICAL_INNER and r <= w0.rank
-                          or st == CRITICAL_INNER and r <= w0.rank + 1)
-            else:
-                p_post = False
+            p_post = dangerous(p)
             if p_post != p_pre:
                 self._dangerous += 1 if p_post else -1
             stop = True
@@ -368,17 +347,6 @@ class PadovanHeap:
                 # g's test is as it was: either p's rank did not change, or
                 # p is an outer child, which the test reads as safe
                 return
-            # climb: g's state before this iteration is its pre-probe; a
-            # second-last p cannot have moved g's test, so probe it now
-            if g_pre is None:
-                r = g.rank
-                if r:
-                    w0 = g.child.left
-                    st = w0.status
-                    g_pre = (st == NONCRITICAL_INNER and r <= w0.rank
-                             or st == CRITICAL_INNER and r <= w0.rank + 1)
-                else:
-                    g_pre = False
             p_pre = g_pre
             p = g
 
@@ -387,7 +355,7 @@ class PadovanHeap:
     def insert(self, key):
         d = self._dummy
         if d is None:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(CONSUMED)
         # the alloc_back row of Arena's table
         a = self.arena
         v = Node(key)
@@ -439,9 +407,16 @@ class PadovanHeap:
         return self
 
     def find_min(self):
+        # The danger test is written out here, twice, and once in delete_min,
+        # rather than called as _is_dangerous: phase 1 runs it on every root,
+        # and the lone-root tests on almost every call. Calling it at all
+        # seven sites (these three and _cut's four) made padovan replay 9%
+        # slower by median on perfbench's competition workload, winning 1 of
+        # 6 interleaved pairs, and 2% slower on random, winning 2 of 6
+        # (shared 2-vCPU host, CPython 3.11). _cut calls it.
         d = self._dummy
         if d is None:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(CONSUMED)
         if self._size == 0:
             raise EmptyHeapError("find_min on empty heap")
         x = d.child
@@ -455,7 +430,7 @@ class PadovanHeap:
             if not (st == NONCRITICAL_INNER and r <= w0.rank
                     or st == CRITICAL_INNER and r <= w0.rank + 1):
                 return x
-        buckets = self._buckets
+        buckets = [None] * (self.max_rank_seen + 2)
         t = self._stat_tally
         top = self.max_rank_seen
         # completed joins and links, and their link writes; the tallies and
@@ -535,9 +510,7 @@ class PadovanHeap:
             # cyclically. Links leave _dangerous alone: pushing to the front
             # keeps the winner's rank and rightmost child, and a winner
             # without children gets a placed child, which cannot make it
-            # dangerous. Survivors occupy exactly their own buckets, and
-            # links change no rank, so each loser's bucket is cleared as it
-            # leaves the root list, and the last root's at the end.
+            # dangerous.
             x = d.child.left
             while True:
                 y = x.left
@@ -574,17 +547,10 @@ class PadovanHeap:
                     first.left = loser
                     winner.child = loser
                     writes += 8
-                buckets[loser.rank] = None
                 t[loser.status] -= 1
                 loser.status = OUTER_PLACED
                 links += 1
                 x = winner.left
-            buckets[x.rank] = None
-        except BaseException:
-            # a key comparison raised: drop the bucket entries, which the
-            # next find_min would otherwise join against
-            buckets[:] = [None] * len(buckets)
-            raise
         finally:
             counters = self.arena.counters
             counters.link_writes += writes
@@ -599,7 +565,7 @@ class PadovanHeap:
     def delete_min(self):
         d = self._dummy
         if d is None:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(CONSUMED)
         if self._size == 0:
             raise EmptyHeapError("delete_min on empty heap")
         # a lone safe root is the minimum, as find_min would return it
@@ -621,10 +587,10 @@ class PadovanHeap:
 
     def decrease_key(self, v, new_key):
         if self._dummy is None:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(CONSUMED)
         # a live vertex of this heap; a non-Node handle may not even hash
         if not isinstance(v, Node) or v not in self._live:
-            raise StaleHandleError(_STALE % (v,))
+            raise StaleHandleError(STALE % (v,))
         if new_key > v.key:
             raise KeyIncreaseError(
                 "decrease_key %r -> %r is an increase" % (v.key, new_key))
@@ -633,10 +599,10 @@ class PadovanHeap:
 
     def delete(self, v):
         if self._dummy is None:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(CONSUMED)
         # a live vertex of this heap; a non-Node handle may not even hash
         if not isinstance(v, Node) or v not in self._live:
-            raise StaleHandleError(_STALE % (v,))
+            raise StaleHandleError(STALE % (v,))
         self._cut(v)
         # the cut moved neither v's rank nor its children, so v's danger
         # state is still counted and leaves with it
@@ -703,7 +669,7 @@ class PadovanHeap:
         """
         d = self._dummy
         if d is None:
-            raise StaleHandleError(_CONSUMED)
+            raise StaleHandleError(CONSUMED)
         # root statuses in the order they occur: N, then P, C and M; any
         # other value counts as misplaced
         r_n = r_p = r_c = r_m = 0

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import padovanheap
-from padovanheap import PadovanHeap
+from padovanheap import FibonacciHeap, PadovanHeap
 from padovanheap.auditor import CostModel
 from padovanheap.cli import CSV_HEADER, GEN_CHUNK, main
 from padovanheap.trace import format_trace, gen_workload
@@ -56,6 +56,17 @@ def test_run_differential_and_audit(tmp_path, capsys):
     tr = write(tmp_path, "t.txt", "i 5\ni 3\ni 9\ni 1\nf\nk 3 -4\nd\nf\nd\nd\nd\n")
     assert run_cli("run", tr, "--differential", "--audit") == 0
     assert capsys.readouterr().out == "1\n-4\n1\n1\n3\n5\n"
+
+
+def test_run_differential_reports_the_first_mismatch(tmp_path, capsys,
+                                                      monkeypatch):
+    real_delete_min = FibonacciHeap.delete_min
+    monkeypatch.setattr(FibonacciHeap, "delete_min",
+                        lambda self: real_delete_min(self) + 1)
+    tr = write(tmp_path, "t.txt", "i 5\ni 3\nf\nd\n")
+    assert run_cli("run", tr, "--differential") == 1
+    assert ("differential mismatch at output 1: padovan=3 fibonacci=4"
+            in capsys.readouterr().err)
 
 
 def test_run_missing_file(capsys):

@@ -566,14 +566,13 @@ def test_rank_stays_logarithmic():
 class TwoStepHeap(PadovanHeap):
     """Every list move made as calls, in list_model's two-step form:
     insert through Arena.alloc + push_back; find_min's joins and links
-    through detach + push_back and detach + push_front, with the bucket
-    cleanup walk after phase 1; delete_min always through find_min; _cut
-    through the model's probe, _is_dangerous and detach + push_back;
-    placing a child through detach + push_front; _remove_root through
-    detach, Arena.concat and Arena.free; and the handle checks through the
-    model's is_live. Each call counts its own writes, so this heap counts
-    by Arena's table by construction. The reference that the heap's inline
-    surgery is checked against."""
+    through detach + push_back and detach + push_front; delete_min always
+    through find_min; _cut through the model's probe, _is_dangerous and
+    detach + push_back; placing a child through detach + push_front;
+    _remove_root through detach, Arena.concat and Arena.free; and the
+    handle checks through the model's is_live. Each call counts its own
+    writes, so this heap counts by Arena's table by construction. The
+    reference that the heap's inline surgery is checked against."""
 
     def _check_handle(self, v):
         self._require_alive()
@@ -684,7 +683,7 @@ class TwoStepHeap(PadovanHeap):
         if x.left is x and not self._is_dangerous(x):
             return x
         a = self.arena
-        buckets = self._buckets
+        buckets = [None] * (self.max_rank_seen + 2)
         t = self._stat_tally
         top = self.max_rank_seen
         joins = links = 0
@@ -720,10 +719,6 @@ class TwoStepHeap(PadovanHeap):
                     if r > top:
                         top = r
                 v = nxt
-            v = d.child
-            while v is not d:
-                buckets[v.rank] = None
-                v = v.right
             x = d.child.left
             while True:
                 y = x.left
@@ -739,9 +734,6 @@ class TwoStepHeap(PadovanHeap):
                 loser.status = OUTER_PLACED
                 links += 1
                 x = winner.left
-        except BaseException:
-            buckets[:] = [None] * len(buckets)
-            raise
         finally:
             a.counters.comparisons += joins + links
             t[NONCRITICAL_INNER] += joins
