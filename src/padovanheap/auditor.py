@@ -539,8 +539,12 @@ class BudgetAudit:
     snapshot (W, analysis steps, size) the previous one left, the first
     taken by __init__. So the charges telescope to the change in steps plus
     W_end - W_0, and a heap change made between events is charged to the
-    next. W comes from the heap's incremental tallies; verify_tallies pins
-    those to a full recount during fuzzing, so the audit can trust them.
+    next. W comes from the heap's incremental tallies. The snapshot that
+    __init__ takes is the heap's first potentials() read, unless something
+    read it before: that read seeds the tallies from one O(n) walk of the
+    forest, and the heap keeps them exact from then on, so each later read
+    is one root-list scan. verify_tallies pins the kept tallies to a full
+    recount during fuzzing, so the audit can trust them.
     """
 
     __slots__ = ("heap", "model", "rows", "violations", "_counters", "_w",

@@ -37,24 +37,28 @@ vertex that is not among the last two children of its list (where the
 parent is unreachable in O(1); the deferred rank decrease is budgeted by
 the potential analysis, and the status is adjusted in place instead).
 
-The heap keeps O(1)-maintainable potential ingredients up to date (status
-tallies over all live vertices, the rank sum, and the dangerous-vertex
-count) so potentials() costs one root-list scan. Root statuses carry no
-meaning and may legitimately hold stale or scribbled values; the tallies
-stay exact because they count raw field values and subtract per-status root
-contributions at read time.
+The potential ingredients (status tallies over all live vertices, the rank
+sum, and the dangerous-vertex count) exist only for the analysis, so a heap
+keeps them only from its first potentials() read on. Until then they are
+None, and every operation skips their bookkeeping and _cut's danger probes.
+The first read seeds them from one walk of the forest, O(n); from then on
+every operation keeps them exact as it goes, and each read costs one
+root-list scan. Root statuses carry no meaning and may legitimately hold
+stale or scribbled values; the tallies stay exact because they count raw
+field values and subtract per-status root contributions at read time.
 
-The dangerous-vertex count takes one probe of a vertex before and one after
-each compound change to it: a cut with the cascade step that follows, or
-make_safe's demote-and-recompute loop. The danger test reads only the
-vertex's rank, its rightmost child and that child's rho, so the deltas of
-probes in between would telescope, and they are not made. A rank change
-also moves the parent's test when the vertex is the rightmost child: the
-cascade probes that parent first and carries the probe up as the parent's
-own before-probe, and where the cascade stops, the parent's test is
-unchanged. delete_min removes the root find_min would return: a lone safe
-root it takes directly (the state a find_min leaves), any other root list it
-hands to find_min. Either way the root is safe, so it leaves without a probe.
+The dangerous-vertex count, once kept, takes one probe of a vertex before
+and one after each compound change to it: a cut with the cascade step that
+follows, or make_safe's demote-and-recompute loop. The danger test reads
+only the vertex's rank, its rightmost child and that child's rho, so the
+deltas of probes in between would telescope, and they are not made. A rank
+change also moves the parent's test when the vertex is the rightmost child:
+the cascade probes that parent first and carries the probe up as the
+parent's own before-probe, and where the cascade stops, the parent's test
+is unchanged. delete_min removes the root find_min would return: a lone
+safe root it takes directly (the state a find_min leaves), any other root
+list it hands to find_min. Either way the root is safe, so it leaves
+without a probe.
 
 The hot list moves and probes are written out in the operation that makes
 them, so that each op's common case runs in one Python frame: insert's
@@ -105,10 +109,12 @@ class PadovanHeap:
         self._dummy = self.arena.alloc(None)  # self-linked owner of the root list
         self._live = set()  # the live vertices themselves, dummy excluded
         self._size = 0
-        # live vertices bucketed by raw status field (dummy excluded)
-        self._stat_tally = [0, 0, 0, 0]
-        self._rank_sum = 0
-        self._dangerous = 0
+        # The potential tallies, None until the first potentials() read
+        # seeds them: live vertices bucketed by raw status field (dummy
+        # excluded), the rank sum and the dangerous-vertex count
+        self._stat_tally = None
+        self._rank_sum = None
+        self._dangerous = None
         self.max_rank_seen = 0
 
     # -- bookkeeping helpers -------------------------------------------
@@ -151,8 +157,9 @@ class PadovanHeap:
 
     def _set_status(self, v, st):
         t = self._stat_tally
-        t[v.status] -= 1
-        t[st] += 1
+        if t is not None:
+            t[v.status] -= 1
+            t[st] += 1
         v.status = st
 
     def _is_dangerous(self, v):
@@ -223,7 +230,8 @@ class PadovanHeap:
             counters.rank_steps += 1
             new_rank = rho0 if gap else rho0 + 1  # rule 1 : rule 3
             break
-        self._rank_sum += new_rank - p.rank
+        if self._stat_tally is not None:
+            self._rank_sum += new_rank - p.rank
         p.rank = new_rank
         if new_rank > self.max_rank_seen:
             self.max_rank_seen = new_rank
@@ -238,7 +246,8 @@ class PadovanHeap:
             self._recompute_rank(v)
             if not self._is_dangerous(v):
                 break
-        self._dangerous -= 1
+        if self._stat_tally is not None:
+            self._dangerous -= 1
 
     def _cut(self, v):
         """Move v to the right end of the root list, then cascade rank
@@ -250,7 +259,8 @@ class PadovanHeap:
         the deltas of any probes in between would telescope.
         """
         d = self._dummy
-        dangerous = self._is_dangerous
+        # the danger probe, or False while the count is not kept
+        dangerous = self._stat_tally is not None and self._is_dangerous
         nxt = v.right
         prev = v.left
         # v's position, by the among-the-last-two end test
@@ -264,7 +274,8 @@ class PadovanHeap:
             p = nxt if nxt.left is not v else nxt.right  # last : second last
             if p.right is p:
                 return  # v is a root already
-            p_pre = dangerous(p)  # before the move: p loses a child
+            if dangerous:
+                p_pre = dangerous(p)  # before the move: p loses a child
         # the join_back row of Arena's table: 3 writes to unlink a sole
         # member, else 4, and 4 to append. The root list keeps v's tree
         # root, or other roots besides v, so it is never empty.
@@ -306,15 +317,17 @@ class PadovanHeap:
             else:
                 # last : second last
                 g = nxt if nxt.left is not p else nxt.right
-                g_pre = dangerous(g)
+                if dangerous:
+                    g_pre = dangerous(g)
             r = self._recompute_rank(p)
             delta = old - r
             assert delta >= 0, "rank increased during cascade"
             # p's own test is settled: what follows moves p or changes its
             # status, which only its parent's test reads
-            p_post = dangerous(p)
-            if p_post != p_pre:
-                self._dangerous += 1 if p_post else -1
+            if dangerous:
+                p_post = dangerous(p)
+                if p_post != p_pre:
+                    self._dangerous += 1 if p_post else -1
             stop = True
             if delta == 0:
                 pass
@@ -347,7 +360,8 @@ class PadovanHeap:
                 # g's test is as it was: either p's rank did not change, or
                 # p is an outer child, which the test reads as safe
                 return
-            p_pre = g_pre
+            if dangerous:
+                p_pre = g_pre
             p = g
 
     # -- public operations ----------------------------------------------
@@ -372,7 +386,9 @@ class PadovanHeap:
             v.right = d
             first.left = v
             a.counters.link_writes += 6
-        self._stat_tally[NONCRITICAL_INNER] += 1
+        t = self._stat_tally
+        if t is not None:
+            t[NONCRITICAL_INNER] += 1
         self._size += 1
         return v
 
@@ -381,6 +397,11 @@ class PadovanHeap:
         other._require_alive()
         if other is self:
             raise ValueError("meld of a heap with itself")
+        # a read survivor adds other's tallies, counting an unread other's
+        # forest before it moves; an unread survivor stays unread
+        t = self._stat_tally
+        if t is not None and other._stat_tally is None:
+            other._seed_tallies()
         # the concat is counted on this heap's arena; each arena keeps the
         # steps made on it before the meld
         self.arena.concat(self._dummy, other._dummy)
@@ -392,12 +413,12 @@ class PadovanHeap:
             live, olive = olive, live
             self._live = live
         live |= olive
-        t = self._stat_tally
-        ot = other._stat_tally
-        for i in range(4):
-            t[i] += ot[i]
-        self._rank_sum += other._rank_sum
-        self._dangerous += other._dangerous
+        if t is not None:
+            ot = other._stat_tally
+            for i in range(4):
+                t[i] += ot[i]
+            self._rank_sum += other._rank_sum
+            self._dangerous += other._dangerous
         if other.max_rank_seen > self.max_rank_seen:
             self.max_rank_seen = other.max_rank_seen
         other.arena.free(other._dummy)
@@ -433,8 +454,8 @@ class PadovanHeap:
         buckets = [None] * (self.max_rank_seen + 2)
         t = self._stat_tally
         top = self.max_rank_seen
-        # completed joins and links, and their link writes; the tallies and
-        # counters take them at exit
+        # completed joins and links, and their link writes; the tallies, when
+        # kept, and the counters take them at exit
         joins = links = writes = 0
         try:
             # phase 1: make roots safe, join equal ranks until ranks are
@@ -497,7 +518,8 @@ class PadovanHeap:
                         loser.right = w
                         first.left = loser
                         writes += 8
-                    t[loser.status] -= 1
+                    if t is not None:
+                        t[loser.status] -= 1
                     loser.status = NONCRITICAL_INNER
                     joins += 1
                     r += 1
@@ -547,7 +569,8 @@ class PadovanHeap:
                     first.left = loser
                     winner.child = loser
                     writes += 8
-                t[loser.status] -= 1
+                if t is not None:
+                    t[loser.status] -= 1
                 loser.status = OUTER_PLACED
                 links += 1
                 x = winner.left
@@ -555,9 +578,10 @@ class PadovanHeap:
             counters = self.arena.counters
             counters.link_writes += writes
             counters.comparisons += joins + links
-            t[NONCRITICAL_INNER] += joins
-            t[OUTER_PLACED] += links
-            self._rank_sum += joins
+            if t is not None:
+                t[NONCRITICAL_INNER] += joins
+                t[OUTER_PLACED] += links
+                self._rank_sum += joins
             if top > self.max_rank_seen:  # _make_safe may have raised it
                 self.max_rank_seen = top
         return x
@@ -606,7 +630,7 @@ class PadovanHeap:
         self._cut(v)
         # the cut moved neither v's rank nor its children, so v's danger
         # state is still counted and leaves with it
-        if self._is_dangerous(v):
+        if self._stat_tally is not None and self._is_dangerous(v):
             self._dangerous -= 1
         self._remove_root(v)
 
@@ -654,22 +678,66 @@ class PadovanHeap:
         # scrub links so a stale handle dereference fails fast; not counted
         m.left = m.right = m.child = None
         self.arena.counters.link_writes += writes
-        self._stat_tally[m.status] -= 1
-        self._rank_sum -= m.rank
+        t = self._stat_tally
+        if t is not None:
+            t[m.status] -= 1
+            self._rank_sum -= m.rank
         self._size -= 1
 
     # -- potentials -------------------------------------------------------
 
+    def _seed_tallies(self):
+        """Count the tallies from the forest, start keeping them, and return
+        the status tally.
+
+        As the auditor's walk does, a status outside 0..3 is counted as
+        noncritical inner, and a child list is left where a member's right
+        neighbor does not link back to it. The walk reaches at most
+        size + 1 members in all, so broken links cannot make it loop; on
+        such a forest the tallies are whatever it counted, and the audit
+        reports the links.
+        """
+        t = [0, 0, 0, 0]
+        rank_sum = dangerous = 0
+        is_dangerous = self._is_dangerous
+        d = self._dummy
+        left = self._size + 1
+        stack = [d] if d.child is not None else []
+        while stack and left:
+            v = stack.pop().child
+            while left:
+                left -= 1
+                st = v.status
+                t[st if NONCRITICAL_INNER <= st <= OUTER_MISPLACED
+                  else NONCRITICAL_INNER] += 1
+                rank_sum += v.rank
+                if v.child is not None:
+                    dangerous += is_dangerous(v)
+                    stack.append(v)
+                nxt = v.right
+                if nxt.left is not v:
+                    break
+                v = nxt
+        self._stat_tally = t
+        self._rank_sum = rank_sum
+        self._dangerous = dangerous
+        return t
+
     def potentials(self):
-        """(phi0..phi6) from the maintained tallies plus one root-list scan.
+        """(phi0..phi6) from the tallies plus one root-list scan.
 
         phi0 trees; phi1 placed outer children; phi2 capped tree count;
         phi3 critical nonroots; phi4 rank surplus sum(r - c - n) over all
         vertices; phi5 misplaced outer children; phi6 dangerous vertices.
+        The first read seeds the tallies from one walk of the forest, O(n);
+        later reads cost O(roots).
         """
         d = self._dummy
         if d is None:
             raise StaleHandleError(CONSUMED)
+        t = self._stat_tally
+        if t is None:
+            t = self._seed_tallies()
         # root statuses in the order they occur: N, then P, C and M; any
         # other value counts as misplaced
         r_n = r_p = r_c = r_m = 0
@@ -687,7 +755,6 @@ class PadovanHeap:
                     r_m += 1
                 v = v.right
         tau = r_n + r_p + r_c + r_m
-        t = self._stat_tally
         phi3 = t[CRITICAL_INNER] - r_c
         # plastic_cap(n) >= 3 for n >= 2, and one vertex makes one tree, so
         # up to three trees are never capped

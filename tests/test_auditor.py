@@ -89,6 +89,7 @@ def test_size_bound_table():
 
 def test_verify_tallies_clean_then_corrupted():
     h = PadovanHeap()
+    h.potentials()  # the tallies are kept from here on, not seeded later
     rng = random.Random(6)
     hs = []
     for k in rng.sample(range(10**6), 300):
@@ -111,6 +112,7 @@ def test_verify_tallies_sees_a_shift_that_phi4_hides():
     # phi4 reads the rank sum and the noncritical tally only through their
     # difference, so equal shifts of both leave every potential unchanged
     h = PadovanHeap()
+    h.potentials()  # the tallies are kept from here on, not seeded later
     for k in range(1, 9):
         h.insert(k)
     h.find_min()
@@ -126,6 +128,125 @@ def test_verify_tallies_sees_a_shift_that_phi4_hides():
     h._rank_sum -= 1
     h._stat_tally[NONCRITICAL_INNER] -= 1
     assert audit_state(h) == []
+
+
+# ------------------------------------ tallies kept from the first read on
+
+def assert_late_read_matches(events, k, stride):
+    """A heap first read after event k reports, after every later event,
+    the potentials of a heap read after every event; verify_tallies is
+    empty after every stride-th event from k on, and at the end."""
+    ref = PadovanHeap()
+    want = []
+    out = replay(events, ref,
+                 after=lambda idx, ev: want.append(ref.potentials()))
+    h = PadovanHeap()
+
+    def after(idx, ev):
+        if idx < k:
+            assert h._stat_tally is None
+            return
+        assert h.potentials() == want[idx], idx
+        if (idx - k) % stride == 0:
+            assert verify_tallies(h) == [], idx
+
+    assert replay(events, h, after=after) == out
+    assert verify_tallies(h) == []
+
+
+@pytest.mark.parametrize("mode, n, seed", FROZEN_TRACES)
+def test_a_late_first_read_matches_a_read_from_the_start(mode, n, seed):
+    events = gen_workload(mode, n, seed)
+    assert_late_read_matches(events, random.Random(seed).randrange(n), 97)
+
+
+def test_a_late_first_read_matches_on_a_fuzz():
+    for seed in range(40):
+        rng = random.Random(seed)
+        events = gen_workload(rng.choice(("random", "random", "competition")),
+                              rng.randrange(50, 600), seed=seed)
+        assert_late_read_matches(events, rng.randrange(len(events)), 1)
+
+
+def test_a_replay_that_never_reads_keeps_no_tallies():
+    for mode, n, seed in FROZEN_TRACES:
+        h = PadovanHeap()
+        replay(gen_workload(mode, n, seed), h)
+        assert h._stat_tally is h._rank_sum is h._dangerous is None
+        # so an unread heap melded into an unread one stays unread
+        g = PadovanHeap(h.arena if seed else None)
+        for k in range(-5, 0):
+            g.insert(k)
+        g.find_min()
+        h.meld(g)
+        assert h._stat_tally is None
+        assert tuple(compute_potentials(h)) == h.potentials()
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "separate"])
+@pytest.mark.parametrize("read", ["survivor", "donor"])
+def test_meld_of_a_read_and_an_unread_heap(read, shared):
+    a = PadovanHeap()
+    b = PadovanHeap(a.arena if shared else None)
+    replay(gen_workload("random", 600, seed=7), a)
+    # keys above every key of a's trace, so that all stay distinct
+    replay([ev[:-1] + (ev[-1] + 10**9,) if ev[0] in "ik" else ev
+            for ev in gen_workload("random", 600, seed=8)], b)
+    (a if read == "survivor" else b).potentials()
+    a.meld(b)
+    assert (a._stat_tally is None) == (read == "donor")
+    assert tuple(compute_potentials(a)) == a.potentials()
+    assert audit_state(a) == []
+    for _ in range(a.size // 2):
+        a.delete_min()
+    assert audit_state(a) == []
+
+
+@pytest.mark.parametrize("target", [1, 4])  # the root, a nonroot
+@pytest.mark.parametrize("status", [-1, 4, 7])
+def test_a_first_read_on_a_corrupted_forest_returns_the_audit(status,
+                                                              target):
+    h = PadovanHeap()
+    hs = {k: h.insert(k) for k in range(1, 9)}
+    h.find_min()  # build8's forest, its tallies not yet read
+    hs[target].status = status
+    assert h._stat_tally is None
+    vs = audit_state(h)
+    assert sum(h._stat_tally) == 8  # an unknown status counted once, as N
+    if target == 1:
+        # statuses are not checked on the root list, but potentials()
+        # counts an unknown root status as misplaced: the walk's N shows
+        assert [(v.kind, v.info["phi"]) for v in vs] == [
+            ("tally_mismatch", 4), ("tally_mismatch", 5)]
+    else:
+        assert [v.kind for v in vs] == ["bad_status"]
+        assert verify_tallies(h) == []
+    assert_matches_frozen(h)
+
+
+def test_a_first_read_on_broken_links_returns():
+    def expire(signum, frame):
+        raise TimeoutError("a first read did not return")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    try:
+        for leaf in (2, 4, 6, 8):
+            for read in (audit_state, PadovanHeap.potentials):
+                h = PadovanHeap()
+                hs = {k: h.insert(k) for k in range(1, 9)}
+                h.find_min()
+                hs[leaf].child = hs[1]  # a child-link cycle
+                signal.alarm(3)
+                try:
+                    got = read(h)
+                finally:
+                    signal.alarm(0)
+                if read is audit_state:
+                    assert {v.kind for v in got} == {"broken_owner_link"}
+                else:  # the seeding walk stopped after size + 1 members
+                    assert sum(h._stat_tally) == 9
+    finally:
+        signal.signal(signal.SIGALRM, old)
 
 
 # -------------------------------------------------------- fault injection
@@ -736,11 +857,14 @@ def test_one_walk_audit_matches_separate_walks_on_clean_states():
 def corrupted_states():
     """Random states with one to three vertices' rank, status or key
     corrupted, then random states with one or two non-roots made
-    dangerous; yields each heap once corrupted."""
+    dangerous; yields each heap once corrupted. Each heap's tallies are
+    read before its replay, so they are kept from the start and the
+    corruption moves none of them."""
     for seed in range(240):
         rng = random.Random(seed)
         events = gen_workload("random", 300, seed=seed)
         h = PadovanHeap()
+        h.potentials()
         replay(events[:rng.randrange(20, len(events))], h)
         vertices = list(iter_vertices(h))
         for v in rng.sample(vertices, min(len(vertices), rng.randint(1, 3))):
@@ -760,6 +884,7 @@ def corrupted_states():
         rng = random.Random(seed)
         events = gen_workload("random", 300, seed=seed)
         h = PadovanHeap()
+        h.potentials()
         replay(events[:rng.randrange(100, len(events))], h)
         roots = set(h.roots())
         targets = [v for v in iter_vertices(h)

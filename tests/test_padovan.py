@@ -572,7 +572,13 @@ class TwoStepHeap(PadovanHeap):
     _remove_root through detach, Arena.concat and Arena.free; and the
     handle checks through the model's is_live. Each call counts its own
     writes, so this heap counts by Arena's table by construction. The
-    reference that the heap's inline surgery is checked against."""
+    reference that the heap's inline surgery is checked against. Its
+    tallies are read at construction, so it keeps them from the start and
+    its bookings below need no test."""
+
+    def __init__(self):
+        super().__init__()
+        self.potentials()
 
     def _check_handle(self, v):
         self._require_alive()
