@@ -3,11 +3,16 @@
 Everything here recomputes its answers from the raw forest — it never trusts
 the heap's own incremental tallies (those are what verify_tallies checks).
 Every check is made in one iterative link walk that follows no child list
-for more than heap.size + 1 hops, so corrupted links cannot hang the
-auditor. The walk checks each vertex when it reaches it, and each owner's
-rank rules once the owner's child list is in hand; only the active-closure
-sizes take a second, reverse pass over the owners. children and
-iter_vertices trust links and are for sound heaps.
+for more than heap.size + 1 hops, so corrupted links cannot hang
+audit_state, check_structure, check_size_bounds, verify_tallies or
+compute_potentials. The walk checks each vertex when it reaches it, and
+each owner's rank rules once the owner's child list is in hand; only the
+active-closure sizes take a second, reverse pass over the owners.
+check_root_safety and iter_vertices start from heap.roots(), which stops
+after heap.size members, so a corrupted root list cannot hang them; below
+the roots, children and iter_vertices trust links and are for sound heaps.
+BudgetAudit reads potentials(), which trusts the root list: audit a state
+before its budget, as run --audit does.
 
 The amortized side mechanizes the accounting that makes the heap work:
 seven potentials

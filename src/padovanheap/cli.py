@@ -8,6 +8,13 @@ Subcommands
 Exit codes: 0 success, 1 check or runtime failure, 2 usage/parse error.
 run prints one line per f/d event with the returned key; those lines are
 byte-identical across implementations for any valid trace.
+
+run replays the trace in one loop: through --impl alone, or with
+--differential through padovan, fibonacci and the oracle in that order,
+each diffed against padovan's output. The first implementation is the
+reference; --stats and --dot report on it, and --audit (padovan only)
+audits it after every event: the state first, and the amortized budget
+only on a state that passed, so a broken forest is reported, not walked.
 """
 
 import argparse
@@ -16,7 +23,8 @@ import csv
 import sys
 from itertools import islice, zip_longest
 
-from .auditor import BudgetAudit, audit_state, check_root_safety, children
+from .auditor import (BudgetAudit, audit_state, check_root_safety, children,
+                      iter_vertices)
 from .errors import HeapError
 from .fibonacci import FibonacciHeap
 from .node_store import OUTER_PLACED, STATUS_NAMES
@@ -28,20 +36,18 @@ CSV_HEADER = ["impl", "mode", "n", "ops", "total_steps", "max_rank",
               "steps_per_op", "phi0", "phi1", "phi2", "phi3", "phi4",
               "phi5", "phi6"]
 
-IMPLS = ("padovan", "fibonacci", "oracle")
+# name -> class; --differential replays them in this order, padovan first
+IMPLS = {"padovan": PadovanHeap, "fibonacci": FibonacciHeap, "oracle": Oracle}
+
+MODES = ("random", "ascending", "competition")
 
 GEN_CHUNK = 8192  # events that gen formats and writes at a time
 
 
-def _make_heap(impl):
-    if impl == "padovan":
-        return PadovanHeap()
-    if impl == "fibonacci":
-        return FibonacciHeap()
-    return Oracle()
-
-
 def _stats_row(impl, mode, n, ops, heap):
+    # the oracle's row: it does no pointer work worth modeling
+    total = max_rank = 0
+    phis = (0,) * 7
     if impl == "padovan":
         total = heap.arena.counters.total
         max_rank = heap.max_rank_seen
@@ -49,39 +55,30 @@ def _stats_row(impl, mode, n, ops, heap):
     elif impl == "fibonacci":
         total = heap.counters.total
         max_rank = heap.max_degree_seen
-        phis = (0,) * 7
-    else:  # the oracle does no pointer work worth modeling
-        total = 0
-        max_rank = 0
-        phis = (0,) * 7
     per_op = (total / ops) if ops else 0.0
     return ([impl, mode, n, ops, total, max_rank, "%.6f" % per_op]
             + list(phis))
 
 
-def _write_csv(path, rows):
+def _write_csv(path, row):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
-        for row in rows:
-            w.writerow(row)
+        w.writerow(row)
 
 
 def write_dot(heap, stream):
     """Emit the padovan forest as DOT; outer children get dashed edges."""
+    roots = set(heap.roots())
     stream.write("digraph padovan_forest {\n")
     stream.write("  node [shape=box];\n")
-    for root in heap.roots():
-        stack = [(root, True)]
-        while stack:
-            v, is_root = stack.pop()
-            status = "-" if is_root else STATUS_NAMES[v.status]
-            stream.write('  n%d [label="%s/%d/%s"];\n'
-                         % (id(v), v.key, v.rank, status))
-            for w in children(v):
-                dashed = " [style=dashed]" if w.status >= OUTER_PLACED else ""
-                stream.write("  n%d -> n%d%s;\n" % (id(v), id(w), dashed))
-                stack.append((w, False))
+    for v in iter_vertices(heap):
+        status = "-" if v in roots else STATUS_NAMES[v.status]
+        stream.write('  n%d [label="%s/%d/%s"];\n'
+                     % (id(v), v.key, v.rank, status))
+        for w in children(v):
+            dashed = " [style=dashed]" if w.status >= OUTER_PLACED else ""
+            stream.write("  n%d -> n%d%s;\n" % (id(v), id(w), dashed))
     stream.write("}\n")
 
 
@@ -99,8 +96,10 @@ def _audited_replay(events, heap):
     budget = BudgetAudit(heap)
 
     def after(idx, ev):
-        budget.after(idx, ev)
         violations = audit_state(heap)
+        if not violations:
+            # potentials() trusts the root list: read it on a sound state
+            budget.after(idx, ev)
         if ev[0] == "f":
             # the consolidated root must have been made safe
             violations.extend(check_root_safety(heap))
@@ -123,43 +122,28 @@ def _cmd_run(args):
     except TraceError as e:
         print(str(e), file=sys.stderr)
         return 2
-    if args.audit and not args.differential and args.impl != "padovan":
-        print("--audit requires --impl padovan", file=sys.stderr)
-        return 2
-    if args.dot and not args.differential and args.impl != "padovan":
-        print("--dot requires --impl padovan", file=sys.stderr)
-        return 2
+    names = list(IMPLS) if args.differential else [args.impl]
+    for flag in ("audit", "dot"):
+        if getattr(args, flag) and names[0] != "padovan":
+            print("--%s requires --impl padovan" % flag, file=sys.stderr)
+            return 2
     n_inserts = sum(1 for ev in events if ev[0] == "i")
 
+    out = heap = None
     try:
-        if args.differential:
-            outputs = {}
-            heaps = {}
-            for impl in IMPLS:
-                heaps[impl] = _make_heap(impl)
-                if impl == "padovan" and args.audit:
-                    outputs[impl] = _audited_replay(events, heaps[impl])
-                else:
-                    outputs[impl] = replay(events, heaps[impl])
-            ref = outputs["padovan"]
-            for impl in ("fibonacci", "oracle"):
-                for i, (want, got) in enumerate(
-                        zip_longest(ref, outputs[impl])):
-                    if want != got:
-                        print("differential mismatch at output %d: "
-                              "padovan=%r %s=%r" % (i, want, impl, got),
-                              file=sys.stderr)
-                        return 1
-            heap = heaps["padovan"]
-            impl_name = "padovan"
-            out = ref
-        else:
-            impl_name = args.impl
-            heap = _make_heap(impl_name)
-            if args.audit:
-                out = _audited_replay(events, heap)
-            else:
-                out = replay(events, heap)
+        for name in names:
+            h = IMPLS[name]()
+            if out is None:  # the first is the reference
+                heap = h
+                out = (_audited_replay if args.audit else replay)(events, h)
+                continue
+            got = replay(events, h)
+            for i, (want, have) in enumerate(zip_longest(out, got)):
+                if want != have:
+                    print("differential mismatch at output %d: "
+                          "padovan=%r %s=%r" % (i, want, name, have),
+                          file=sys.stderr)
+                    return 1
     except _AuditFailure as e:
         print("audit failed at event %d (%s):"
               % (e.index, " ".join(str(x) for x in e.event)),
@@ -174,8 +158,8 @@ def _cmd_run(args):
     for key in out:
         print(key)
     if args.stats:
-        _write_csv(args.stats, [_stats_row(impl_name, "trace", n_inserts,
-                                           len(events), heap)])
+        _write_csv(args.stats, _stats_row(names[0], "trace", n_inserts,
+                                          len(events), heap))
     if args.dot:
         with open(args.dot, "w") as fh:
             write_dot(heap, fh)
@@ -194,7 +178,7 @@ def _cmd_gen(args):
 
 
 def _cmd_bench(args):
-    heap = _make_heap(args.impl)
+    heap = IMPLS[args.impl]()
     counted = [0]
 
     def events():
@@ -208,7 +192,7 @@ def _cmd_bench(args):
         print("replay failed: %s" % e, file=sys.stderr)
         return 1
     row = _stats_row(args.impl, args.mode, args.n, counted[0], heap)
-    _write_csv(args.csv, [row])
+    _write_csv(args.csv, row)
     print("impl=%s mode=%s n=%d ops=%d total_steps=%s steps_per_op=%s"
           % (args.impl, args.mode, args.n, counted[0], row[4], row[6]))
     return 0
@@ -235,8 +219,7 @@ def build_parser():
     pr.set_defaults(func=_cmd_run)
 
     pg = sub.add_parser("gen", help="generate a workload trace")
-    pg.add_argument("--mode", choices=("random", "ascending", "competition"),
-                    required=True)
+    pg.add_argument("--mode", choices=MODES, required=True)
     pg.add_argument("--n", type=int, required=True,
                     help="ops (random), inserts (ascending), or rounds "
                          "(competition)")
@@ -246,8 +229,7 @@ def build_parser():
 
     pb = sub.add_parser("bench", help="run a generated workload, write CSV")
     pb.add_argument("--impl", choices=IMPLS, default="padovan")
-    pb.add_argument("--mode", choices=("random", "ascending", "competition"),
-                    required=True)
+    pb.add_argument("--mode", choices=MODES, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--csv", required=True, metavar="CSV")

@@ -131,11 +131,17 @@ class PadovanHeap:
         return self._dummy
 
     def roots(self):
-        """The root list, left to right, as a new list."""
+        """The root list, left to right, as a new list.
+
+        It stops after size members, so a corrupted root list cannot make
+        it loop; the audit reports such a list.
+        """
         d = self._require_alive()
         out = []
         v = d.child
-        while v is not None and v is not d:
+        for _ in range(self._size):
+            if v is None or v is d:
+                break
             out.append(v)
             v = v.right
         return out
@@ -730,7 +736,10 @@ class PadovanHeap:
         phi3 critical nonroots; phi4 rank surplus sum(r - c - n) over all
         vertices; phi5 misplaced outer children; phi6 dangerous vertices.
         The first read seeds the tallies from one walk of the forest, O(n);
-        later reads cost O(roots).
+        later reads cost O(roots). The root-list scan trusts the links and
+        is not bounded, since the budget audit reads it after every event:
+        on a corrupted root list it may not return, so audit the state
+        (auditor.audit_state) before reading it.
         """
         d = self._dummy
         if d is None:

@@ -1,8 +1,12 @@
 """CLI exercised in-process through main(argv)."""
 
+import argparse
 import csv
+import hashlib
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import padovanheap
-from padovanheap import FibonacciHeap, PadovanHeap
+from padovanheap import FibonacciHeap, Oracle, PadovanHeap
 from padovanheap.auditor import CostModel
-from padovanheap.cli import CSV_HEADER, GEN_CHUNK, main
+from padovanheap.cli import CSV_HEADER, GEN_CHUNK, build_parser, main
 from padovanheap.trace import format_trace, gen_workload
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -69,6 +73,64 @@ def test_run_differential_reports_the_first_mismatch(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+def test_run_differential_reports_an_oracle_mismatch(tmp_path, capsys,
+                                                     monkeypatch):
+    real_delete_min = Oracle.delete_min
+    monkeypatch.setattr(Oracle, "delete_min",
+                        lambda self: real_delete_min(self) + 1)
+    tr = write(tmp_path, "t.txt", "i 5\ni 3\nf\nd\n")
+    assert run_cli("run", tr, "--differential") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "differential mismatch at output 1: padovan=3 oracle=4\n"
+
+
+def test_run_differential_stats_are_padovans_row(tmp_path, capsys):
+    tr = write(tmp_path, "t.txt", "i 5\ni 3\ni 9\ni 1\nf\nk 3 -4\nd\nf\n")
+    alone, both = tmp_path / "alone.csv", tmp_path / "both.csv"
+    assert run_cli("run", tr, "--stats", str(alone)) == 0
+    assert run_cli("run", tr, "--differential", "--stats", str(both)) == 0
+    capsys.readouterr()
+    assert both.read_bytes() == alone.read_bytes()
+    assert b"\npadovan,trace,4,8," in alone.read_bytes()
+
+
+def dot_lines(text):
+    """The DOT text's lines with each node id replaced by its key, which
+    the trace keeps distinct, so that two runs' graphs compare."""
+    keys = dict(re.findall(r'^  n(\d+) \[label="([^/]+)/', text, re.M))
+    return re.sub(r"\bn(\d+)\b", lambda m: "k" + keys[m.group(1)],
+                  text).splitlines()
+
+
+def test_run_differential_dot_is_padovans_dot(tmp_path, capsys):
+    tr = str(tmp_path / "w.txt")
+    assert run_cli("gen", "--mode", "random", "--n", "300", "--seed", "0",
+                   "-o", tr) == 0
+    alone, both = tmp_path / "alone.dot", tmp_path / "both.dot"
+    assert run_cli("run", tr, "--dot", str(alone)) == 0
+    assert run_cli("run", tr, "--differential", "--dot", str(both)) == 0
+    capsys.readouterr()
+    assert dot_lines(both.read_text()) == dot_lines(alone.read_text())
+
+
+def test_dot_lines_of_a_random_trace_are_frozen(tmp_path, capsys):
+    """The lines of the graph, as a multiset, are those the stack-walking
+    writer gave before write_dot walked iter_vertices: 58 vertices, 44
+    edges, 17 of them dashed."""
+    tr = str(tmp_path / "w.txt")
+    assert run_cli("gen", "--mode", "random", "--n", "300", "--seed", "0",
+                   "-o", tr) == 0
+    dot = tmp_path / "g.dot"
+    assert run_cli("run", tr, "--dot", str(dot)) == 0
+    capsys.readouterr()
+    lines = dot_lines(dot.read_text())
+    assert len(lines) == 105
+    assert sum("dashed" in line for line in lines) == 17
+    assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == (
+        "7c4eed3497988bb31f1ce42da76505e265e2e435c0734dced220d8a47156ed61")
+
+
 def test_run_missing_file(capsys):
     assert run_cli("run", "/nonexistent/trace.txt") == 2
     assert "cannot read trace" in capsys.readouterr().err
@@ -122,6 +184,36 @@ def test_run_audit_fails_on_a_state_violation(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == ("audit failed at event 3 (f):\n"
                    "  kind=heap_order child_key=1 parent_key=3\n")
+
+
+def test_run_audit_reports_a_broken_root_list(tmp_path, capsys,
+                                             monkeypatch):
+    """The state is audited before the budget reads potentials(), whose
+    root-list scan would not return on this corruption."""
+    def find_min_then_break_the_root_list(self):
+        roots = self.roots()
+        roots[-1].right = roots[1]  # the root list no longer closes
+        return min(roots, key=lambda r: r.key)
+
+    def expire(signum, frame):
+        raise TimeoutError("run --audit did not return")
+
+    monkeypatch.setattr(PadovanHeap, "find_min",
+                        find_min_then_break_the_root_list)
+    tr = write(tmp_path, "t.txt", "i 1\ni 2\ni 3\ni 4\ni 5\nf\n")
+    old = signal.signal(signal.SIGALRM, expire)
+    try:
+        signal.alarm(10)
+        try:
+            assert run_cli("run", tr, "--audit") == 1
+        finally:
+            signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("audit failed at event 5 (f):\n")
+    assert "kind=broken_owner_link" in err
 
 
 def test_run_audit_fails_on_a_budget_violation(tmp_path, capsys,
@@ -252,6 +344,38 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         if "--n" in argv and int(argv[argv.index("--n") + 1]) < 1:
             assert "--n: must be at least 1" in err
     assert not os.path.exists(csv_path)
+
+
+def test_parser_options_are_pinned():
+    """Each subcommand's options, with their choices and defaults."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    impls = ("padovan", "fibonacci", "oracle")
+    modes = ("random", "ascending", "competition")
+    got = {name: [(tuple(a.option_strings) or a.dest,
+                   tuple(a.choices) if a.choices else None, a.default,
+                   a.required)
+                  for a in p._actions]
+           for name, p in sub.choices.items()}
+    help_ = (("-h", "--help"), None, argparse.SUPPRESS, False)
+    assert got == {
+        "run": [help_, ("file", None, None, True),
+                (("--impl",), impls, "padovan", False),
+                (("--audit",), None, False, False),
+                (("--differential",), None, False, False),
+                (("--stats",), None, None, False),
+                (("--dot",), None, None, False)],
+        "gen": [help_, (("--mode",), modes, None, True),
+                (("--n",), None, None, True),
+                (("--seed",), None, 0, False),
+                (("-o", "--out"), None, None, False)],
+        "bench": [help_, (("--impl",), impls, "padovan", False),
+                  (("--mode",), modes, None, True),
+                  (("--n",), None, None, True),
+                  (("--seed",), None, 0, False),
+                  (("--csv",), None, None, True)],
+    }
 
 
 def child_env():
