@@ -5,9 +5,11 @@ the heap's own incremental tallies (those are what verify_tallies checks).
 Every check is made in one iterative link walk that follows no child list
 for more than heap.size + 1 hops, so corrupted links cannot hang
 audit_state, check_structure, check_size_bounds, verify_tallies or
-compute_potentials. The walk checks each vertex when it reaches it, and
-each owner's rank rules once the owner's child list is in hand; only the
-active-closure sizes take a second, reverse pass over the owners.
+compute_potentials. The walk makes all of a vertex's checks in the hop
+that reaches it, and an owner's rank rules once its list has ended at the
+owner; a list that does not (a link into a freed vertex, whose links are
+None, among them) is reported and what its members added is undone. Only
+the active-closure sizes take a second, reverse pass over the owners.
 check_root_safety and iter_vertices start from heap.roots(), which stops
 after heap.size members, so a corrupted root list cannot hang them; below
 the roots, children and iter_vertices trust links and are for sound heaps.
@@ -176,11 +178,20 @@ def iter_vertices(heap):
     """Yield every live vertex, parents before children. Trusts links."""
     stack = list(heap.roots())
     stack.reverse()
+    pop = stack.pop
+    push = stack.append
     while stack:
-        v = stack.pop()
+        v = pop()
         yield v
-        if v.child is not None:
-            stack.extend(reversed(children(v)))
+        first = v.child
+        if first is not None:
+            # push the list from its rightmost member leftward, so that
+            # the leftmost member pops next
+            w = first.left
+            while w is not first:
+                push(w)
+                w = w.left
+            push(first)
 
 
 def _audit(heap):
@@ -193,11 +204,23 @@ def _audit(heap):
     the content results are thrown away. Raises StaleHandleError on a heap
     consumed by meld.
 
-    Each member is checked when reached, and each owner once its child
-    list is in hand; sizes take one reverse pass over the owners. A
-    vertex's rank-rule violations come after the content violations, in
-    the order the walk reached the vertices.
+    The walk pops an owner and hops along its child list, at most
+    heap.size + 1 hops, making all of a member's checks in the hop that
+    reaches it. When the list ends at its owner, the owner's checks
+    follow, from the rightmost member w0 and its left neighbour. When it
+    does not (the cap is exceeded, or an end, a None right link included,
+    is not the owner), the list is broken: what its members added to
+    links, stack and seen is undone, so the walk neither trusts nor
+    recurses into it, and one broken_owner_link stands for it. Sizes take
+    one reverse pass over the owners. A vertex's rank-rule violations
+    come after the content violations, in the order the walk reached the
+    vertices.
     """
+    # the statuses as locals, since every hop reads them
+    N = NONCRITICAL_INNER
+    C = CRITICAL_INNER
+    P = OUTER_PLACED
+    M = OUTER_MISPLACED
     live = heap._live
     d = heap._require_alive()
     cap = heap.size + 1
@@ -221,39 +244,27 @@ def _audit(heap):
     stack = [d] if d.child is not None else []
     while stack:
         owner = stack.pop()
-        is_root = len(stack) < root_depth
+        depth = len(stack)
+        is_root = depth < root_depth
         if is_root:
-            root_depth = len(stack)
+            root_depth = depth
         top = owner is d
-        members = []
-        v = owner.child
-        for _ in range(cap):
-            members.append(v)
-            nxt = v.right
-            if nxt.left is not v:
-                break
-            v = nxt
-        else:
-            links.append(Violation(
-                "broken_owner_link", owner_key=owner.key,
-                detail="right walk exceeded %d nodes" % cap))
-            continue
-        # v says it is the rightmost; its right link must be the owner
-        if nxt is not owner:
-            links.append(Violation(
-                "broken_owner_link", owner_key=owner.key, child_key=v.key))
-            continue  # do not trust or recurse into a broken list
-        # left links close one cycle: leftmost.left == rightmost; the walk
-        # checked every other member's left link before it went on
-        if members[0].left is not v:
-            links.append(Violation("broken_left_cycle", owner_key=owner.key,
-                                   child_key=members[0].key))
         tally = root if top else nonroot
         okey = owner.key
+        n_links = len(links)  # to undo a broken list
+        n_seen = len(seen)
         seen_nonplaced = False
-        inner = inner_idx = 0
+        inner = inner_idx = hops = 0
         prev_rho = None
-        for v in members:
+        nxt = owner.child
+        go_on = True
+        while go_on and hops < cap:
+            hops += 1
+            v = nxt
+            nxt = v.right
+            # v is the rightmost member unless its right neighbour links
+            # back to it
+            go_on = nxt is not None and nxt.left is v
             # a live vertex of the heap; a Node hashes by identity
             if isinstance(v, Node) and v in live:
                 if v in seen:
@@ -286,16 +297,18 @@ def _audit(heap):
                         detail="no inner children")]
             rank_sum += r
             st = v.status
-            tally[st if NONCRITICAL_INNER <= st <= OUTER_MISPLACED
-                  else NONCRITICAL_INNER] += 1
+            if not N <= st <= M:
+                tally[N] += 1
+                if not top:
+                    # a negative status still counts toward the owner's
+                    # rank budget
+                    inner += st < N
+                    content.append(Violation("bad_status", key=v.key,
+                                             status=st))
+                continue
+            tally[st] += 1
             if top:
                 continue  # statuses and order are meaningless on the root list
-            # the inner-child count (a negative status too) feeds the owner's
-            # rank budget
-            if not NONCRITICAL_INNER <= st <= OUTER_MISPLACED:
-                inner += st < NONCRITICAL_INNER
-                content.append(Violation("bad_status", key=v.key, status=st))
-                continue
             try:
                 if v.key < okey:
                     content.append(Violation(
@@ -303,70 +316,91 @@ def _audit(heap):
             except TypeError:  # e.g. a foreign heap's head, keyed None
                 content.append(Violation(
                     "incomparable_key", parent_key=okey, child_key=v.key))
-            if st == OUTER_PLACED:
+            if st == P:
                 if seen_nonplaced:
                     content.append(Violation(
                         "layout", parent_key=okey, child_key=v.key,
                         detail="placed child after the placed prefix"))
             else:
                 seen_nonplaced = True
-            if st <= CRITICAL_INNER:
-                inner += 1
-                rho = r + 1 if st == CRITICAL_INNER else r
-                if rho < inner_idx:
-                    content.append(Violation(
-                        "index_bound", parent_key=okey, child_key=v.key,
-                        inner_index=inner_idx, rho=rho))
-                if prev_rho is not None and rho < prev_rho + 1:
-                    content.append(Violation(
-                        "inner_order", parent_key=okey, child_key=v.key,
-                        prev_rho=prev_rho, rho=rho))
-                prev_rho = rho
-                inner_idx += 1
+                if st <= C:
+                    inner += 1
+                    rho = r + 1 if st == C else r
+                    if rho < inner_idx:
+                        content.append(Violation(
+                            "index_bound", parent_key=okey, child_key=v.key,
+                            inner_index=inner_idx, rho=rho))
+                    if prev_rho is not None and rho < prev_rho + 1:
+                        content.append(Violation(
+                            "inner_order", parent_key=okey, child_key=v.key,
+                            prev_rho=prev_rho, rho=rho))
+                    prev_rho = rho
+                    inner_idx += 1
+        # A sound list ends within the cap, its rightmost member's right link
+        # at the owner. Undo what a broken list's members added, so the walk
+        # neither trusts nor recurses into it.
+        if go_on or nxt is not owner:
+            del links[n_links:]
+            del stack[depth:]
+            for _ in range(len(seen) - n_seen):
+                seen.popitem()  # dicts pop last in, first out
+            if go_on:
+                links.append(Violation(
+                    "broken_owner_link", owner_key=okey,
+                    detail="right walk exceeded %d nodes" % cap))
+            else:
+                links.append(Violation(
+                    "broken_owner_link", owner_key=okey, child_key=v.key))
+            continue
+        # left links close one cycle: leftmost.left == rightmost; each hop
+        # checked every other member's left link. The list's own link
+        # violations come after this one.
+        first = owner.child
+        if first.left is not v:
+            links.insert(n_links, Violation(
+                "broken_left_cycle", owner_key=okey, child_key=first.key))
         if top:
             root_depth = len(stack)
-            tau = len(members)
+            tau = hops
             continue
         if links:
             continue  # every content result is thrown away
 
-        # The owner's own checks, now that its children are in hand. rho
-        # and _is_dangerous (a nonzero rank, an inner rightmost child w0 and
-        # r <= rho(w0)) are written out. w0 is active unless outer; w1 too
-        # unless a gap (rule 1/2) is forced: a misplaced w1, a placed w1
-        # (rho = -1), or rho0 > rho(w1) + 1.
+        # The owner's own checks. rho and _is_dangerous (a nonzero rank, an
+        # inner rightmost child w0 and r <= rho(w0)) are written out. w0 is
+        # active unless outer; w1 too unless a gap (rule 1/2) is forced: a
+        # misplaced w1, a placed w1 (rho = -1), or rho0 > rho(w1) + 1.
         r = owner.rank
-        w0 = members[-1]
+        w0 = v
         st0 = w0.status
-        rho0 = w0.rank + 1 if st0 == CRITICAL_INNER else w0.rank
-        danger = r != 0 and st0 <= CRITICAL_INNER and r <= rho0
+        rho0 = w0.rank + 1 if st0 == C else w0.rank
+        danger = r != 0 and st0 <= C and r <= rho0
         dangerous += danger
         gap = rho0 > 0
         a = b = None
-        if st0 == OUTER_MISPLACED:
+        if st0 == M:
             # not at rest, yet sized as the seek phase would: skip the
             # misplaced tail
+            members = children(owner)
             i = len(members) - 2
-            while i >= 0 and members[i].status == OUTER_MISPLACED:
+            while i >= 0 and members[i].status == M:
                 i -= 1
-            if i >= 0 and members[i].status != OUTER_PLACED:
+            if i >= 0 and members[i].status != P:
                 a = members[i]
                 if i > 0:
                     u = members[i - 1]
                     su = u.status
-                    if (su != OUTER_MISPLACED and su != OUTER_PLACED
-                            and _rho(a) <= _rho(u) + 1):
+                    if su != M and su != P and _rho(a) <= _rho(u) + 1:
                         b = u
-        elif st0 != OUTER_PLACED:
+        elif st0 != P:
             a = w0
-            if len(members) >= 2:
-                u = members[-2]
+            if hops >= 2:
+                u = w0.left
                 su = u.status
-                if su == OUTER_MISPLACED:
+                if su == M:
                     gap = True
-                elif su != OUTER_PLACED:
-                    gap = rho0 > (u.rank + 1 if su == CRITICAL_INNER
-                                  else u.rank) + 1
+                elif su != P:
+                    gap = rho0 > (u.rank + 1 if su == C else u.rank) + 1
                     if not gap:
                         b = u
         owners.append((owner, r, a, b))
@@ -378,15 +412,15 @@ def _audit(heap):
             vs.append(Violation(
                 "rank_budget", key=owner.key, rank=r, inner_children=inner))
         # rank consistency against the rules, on the resting forest
-        if st0 == OUTER_MISPLACED:
+        if st0 == M:
             vs.append(Violation(
                 "misplaced_rightmost", key=owner.key, child_key=w0.key))
-        elif st0 == OUTER_PLACED:
+        elif st0 == P:
             if r != 0:
                 vs.append(Violation(
                     "rank_mismatch", key=owner.key, rank=r, expect=0,
                     detail="no inner children"))
-        elif gap and st0 == CRITICAL_INNER:
+        elif gap and st0 == C:
             # rule 2 is pending; tolerated deep in a tree, never at a root
             if is_root:
                 vs.append(Violation(
@@ -397,8 +431,7 @@ def _audit(heap):
                 vs.append(Violation(
                     "rank_mismatch", key=owner.key, rank=r, expect=expect,
                     gap=gap, rho0=rho0))
-            if (not is_root and owner.status == NONCRITICAL_INNER
-                    and danger):
+            if not is_root and owner.status == N and danger:
                 vs.append(Violation(
                     "steady_dangerous", key=owner.key, rank=r, rho0=rho0))
         if vs:

@@ -67,13 +67,19 @@ def _write_csv(path, row):
         w.writerow(row)
 
 
+_STATUS_LABELS = dict(enumerate(STATUS_NAMES))
+
+
 def write_dot(heap, stream):
     """Emit the padovan forest as DOT; outer children get dashed edges."""
     roots = set(heap.roots())
     stream.write("digraph padovan_forest {\n")
     stream.write("  node [shape=box];\n")
     for v in iter_vertices(heap):
-        status = "-" if v in roots else STATUS_NAMES[v.status]
+        if v in roots:
+            status = "-"
+        else:  # an out-of-range status is shown as it is, after a "?"
+            status = _STATUS_LABELS.get(v.status) or "?%r" % (v.status,)
         stream.write('  n%d [label="%s/%d/%s"];\n'
                      % (id(v), v.key, v.rank, status))
         for w in children(v):

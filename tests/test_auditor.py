@@ -425,6 +425,68 @@ def test_views_return_on_a_child_link_cycle():
         signal.signal(signal.SIGALRM, old)
 
 
+@pytest.mark.parametrize("how", ["arena_free", "delete"])
+def test_a_link_into_a_freed_vertex_is_reported_not_raised(how):
+    # Arena.free and _remove_root set a freed vertex's links to None, so a
+    # leaf's child aimed at one starts a list whose right link is None:
+    # reported on the leaf, and the list is not trusted, so the freed vertex
+    # is not reported dead
+    h, hs = build8()
+    if how == "arena_free":
+        f = h.arena.alloc(-1)
+        h.arena.free(f)
+    else:
+        f = h.insert(20)
+        h.delete(f)
+        assert audit_state(h) == []
+    assert f.left is None and f.right is None
+    hs[8].child = f
+    want = [Violation("broken_owner_link", owner_key=8,
+                      child_key=f.key).render()]
+    for view in (audit_state, check_structure, check_size_bounds,
+                 verify_tallies):
+        assert [v.render() for v in view(h)] == want, view.__name__
+    with pytest.raises(ValueError, match="broken_owner_link"):
+        compute_potentials(h)
+
+
+def test_a_right_cycle_is_stopped_by_the_walk_cap():
+    # root 1's children are 2, 3, 5: 5's right link aimed back at 2 passes
+    # every end test, so the walk stops after size + 1 = 9 hops
+    h, hs = build8()
+    hs[5].right = hs[2]
+    want = [Violation("broken_owner_link", owner_key=1,
+                      detail="right walk exceeded 9 nodes").render()]
+    for view in (audit_state, check_structure, check_size_bounds,
+                 verify_tallies):
+        assert [v.render() for v in view(h)] == want, view.__name__
+
+
+def reference_iter_vertices(heap):
+    """The order iter_vertices keeps, from a children() list per owner."""
+    stack = list(heap.roots())
+    stack.reverse()
+    while stack:
+        v = stack.pop()
+        yield v
+        if v.child is not None:
+            stack.extend(reversed(children(v)))
+
+
+def test_iter_vertices_matches_a_children_based_reference():
+    # the traces of test_audit_matches_frozen_reference_after_every_event
+    runs = [("random", 600, seed) for seed in range(8)]
+    runs += [("competition", 500, 0), ("ascending", 500, 0)]
+    for mode, n, seed in runs:
+        h = PadovanHeap()
+
+        def after(idx, ev):
+            assert (list(iter_vertices(h))
+                    == list(reference_iter_vertices(h))), (mode, seed, idx)
+
+        replay(gen_workload(mode, n, seed=seed), h, after=after)
+
+
 def test_violation_render():
     v = Violation("heap_order", parent_key=3, child_key=2)
     assert v.render() == "kind=heap_order child_key=2 parent_key=3"
@@ -1171,12 +1233,55 @@ def link_corruptions(h, rng):
     def size():
         h._size += rng.choice((-1, 1))
 
+    def right_cycle():
+        # the rightmost member's right link aimed at the leftmost member:
+        # every end test passes, so only the hop cap stops the walk
+        first = rng.choice([d] + [v for v in vs if v.child is not None]).child
+        first.left.right = first
+
+    # Where the walk reaches each vertex: it pops rightmost members first.
+    # A leaf given a child keeps its place.
+    pos = {}
+    stack = [d]
+    while stack:
+        v = stack.pop()
+        pos[v] = len(pos)
+        stack.extend(children(v))
+    first_leaf = min(pos[v] for v in leaves)
+    last_leaf = max(pos[v] for v in leaves)
+    # owners below the root list; those walked after some leaf, and with a
+    # child that has children, for a broken list walked first
+    below = [v for v in vs if v.child is not None]
+    late = [v for v in below if pos[v] > first_leaf
+            and any(w.child is not None for w in children(v))]
+    early = [v for v in below if pos[v] < last_leaf]
+
+    def broken_first():
+        # a leaf walked before owner o, its child aimed at o's leftmost
+        # child: the leaf's list runs on to o, so it is broken; its members,
+        # some with children, are reached again from o
+        o = rng.choice(late)
+        rng.choice([v for v in leaves if pos[v] < pos[o]]).child = o.child
+
+    def broken_last():
+        # the same, with the leaf walked after o: the broken list's members
+        # were reached from o first
+        o = rng.choice(early)
+        leaf = rng.choice([v for v in leaves if pos[v] > pos[o]])
+        leaf.child = rng.choice(children(o))
+
     out = [("broken_owner_link", owner_cycle), ("broken_left_cycle", left_cycle),
            ("shared_vertex", shared), ("dead_vertex", dead_freed),
            ("dead_vertex", dead_fake), ("dead_vertex", dead_unhashable),
            ("size_mismatch", size)]
     if nonroots:
         out.append(("broken_owner_link", owner_link))
+    # add cases at the end: each draws from rng after the cases before it
+    out.append(("broken_owner_link", right_cycle))
+    if late:
+        out.append(("broken_owner_link", broken_first))
+    if early:
+        out.append(("broken_owner_link", broken_last))
     return out
 
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import io
 import os
 import re
 import shutil
@@ -16,7 +17,8 @@ import pytest
 import padovanheap
 from padovanheap import FibonacciHeap, Oracle, PadovanHeap
 from padovanheap.auditor import CostModel
-from padovanheap.cli import CSV_HEADER, GEN_CHUNK, build_parser, main
+from padovanheap.cli import (
+    CSV_HEADER, GEN_CHUNK, build_parser, main, write_dot)
 from padovanheap.trace import format_trace, gen_workload
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -263,6 +265,20 @@ def test_dot_output(tmp_path, capsys):
     assert '[label="3/0/N"]' in text
     assert text.count("->") == 2
     assert text.count("dashed") == 1            # only the placed child
+
+
+@pytest.mark.parametrize("status", [-1, 4])
+def test_dot_labels_an_out_of_range_status_visibly(status):
+    # find_min over 1..8 leaves 2 a rank-0 child of root 1
+    h = PadovanHeap()
+    hs = {k: h.insert(k) for k in range(1, 9)}
+    h.find_min()
+    hs[2].status = status
+    out = io.StringIO()
+    write_dot(h, out)
+    text = out.getvalue()
+    assert '[label="2/0/?%d"]' % status in text
+    assert text.count("?") == 1
 
 
 def test_gen_stdout_and_file(tmp_path, capsys):
