@@ -8,8 +8,10 @@ audit_state, check_structure, check_size_bounds, verify_tallies or
 compute_potentials. The walk makes all of a vertex's checks in the hop
 that reaches it, and an owner's rank rules once its list has ended at the
 owner; a list that does not (a link into a freed vertex, whose links are
-None, among them) is reported and what its members added is undone. Only
-the active-closure sizes take a second, reverse pass over the owners.
+None, among them) is reported and what its members added is undone. An
+owner's active-closure size is set in its checks when its active children
+are leaves; only an owner with an active child that has children waits
+for a second, reverse pass over such owners.
 check_root_safety and iter_vertices start from heap.roots(), which stops
 after heap.size members, so a corrupted root list cannot hang them; below
 the roots, children and iter_vertices trust links and are for sound heaps.
@@ -39,7 +41,6 @@ the potentials were designed to pay for.
 """
 
 import math
-from operator import add
 
 from .node_store import (
     NONCRITICAL_INNER,
@@ -136,6 +137,8 @@ def size_bound_table(max_rank):
 _TALLY_FIELDS = ("_rank_sum",) + tuple("_stat_tally[%d]" % i
                                        for i in range(4))
 _size_bounds = size_bound_table(2)
+_STATUSES = frozenset((NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED,
+                       OUTER_MISPLACED))
 
 
 def _bounds(max_rank):
@@ -152,11 +155,13 @@ def _rho(v):
 
 
 def _is_dangerous(v):
-    # independent reimplementation of the O(1) safe test
+    # independent reimplementation of the O(1) safe test; a child link into
+    # a freed vertex, whose links are None, reads as not dangerous, since
+    # audit_state reports it
     if v.rank == 0 or v.child is None:
         return False
     w0 = v.child.left
-    if w0.status > CRITICAL_INNER:
+    if w0 is None or w0.status > CRITICAL_INNER:
         return False
     return v.rank <= _rho(w0)
 
@@ -211,140 +216,156 @@ def _audit(heap):
     does not (the cap is exceeded, or an end, a None right link included,
     is not the owner), the list is broken: what its members added to
     links, stack and seen is undone, so the walk neither trusts nor
-    recurses into it, and one broken_owner_link stands for it. Sizes take
-    one reverse pass over the owners. A vertex's rank-rule violations
-    come after the content violations, in the order the walk reached the
-    vertices.
+    recurses into it, and one broken_owner_link stands for it. seen maps
+    each vertex reached to the size of its active closure: the hop sets
+    1, and an owner's checks set the owner's own size at once when its
+    active children are leaves. An owner with an active child that has
+    children waits for one reverse pass over such owners, which comes
+    children first. A vertex's rank-rule violations come after the content
+    violations, in the order the walk reached the vertices.
     """
     # the statuses as locals, since every hop reads them
     N = NONCRITICAL_INNER
     C = CRITICAL_INNER
     P = OUTER_PLACED
     M = OUTER_MISPLACED
+    statuses = _STATUSES
     live = heap._live
     d = heap._require_alive()
-    cap = heap.size + 1
-    table = _bounds(heap.max_rank_seen + 1)
+    n = heap._size
+    cap = n + 1
+    hop_range = range(1, cap + 1)  # the hops of one list, counted from 1
     links = []     # pass 1
     content = []   # pass 2, per child list
     bad = {}       # pass 2, per vertex: vertex -> its violations
+    flag = bad.setdefault
     short = {}     # vertex -> size_bound violation
-    seen = {}      # every vertex reached; a non-Node is keyed by its id
-    owners = []    # (owner, rank, active w0 or None, active w1 or None)
-    # raw status tallies; the walk counts an unknown status as noncritical
-    # inner, while potentials() counts an unknown root status as misplaced,
-    # so such a root shows as a tally_mismatch
-    nonroot = [0, 0, 0, 0]
+    seen = {}      # vertex reached -> active-closure size; a non-Node by id
+    grow = []      # (owner, a, b): an active child a or b has children
+    big = []       # owners of rank 3 or more, the ranks P(r) > 1 bounds
+    # The raw status tallies: the root list's, and of the nonroots those
+    # but noncritical inner, which are the rest. The walk counts an unknown
+    # status as noncritical inner, while potentials() counts an unknown
+    # root status as misplaced, so such a root shows as a tally_mismatch.
     root = [0, 0, 0, 0]
+    critical = placed = misplaced = 0
     rank_sum = dangerous = tau = 0
     # The root list pushes its owners first, so they lie at the bottom of
     # the stack: an owner popped from below the lowest root popped so far
     # is a root, and everything pushed after that root lies above it.
     root_depth = 0
     stack = [d] if d.child is not None else []
+    pop = stack.pop
+    push = stack.append
     while stack:
-        owner = stack.pop()
+        owner = pop()
         depth = len(stack)
         is_root = depth < root_depth
         if is_root:
             root_depth = depth
         top = owner is d
-        tally = root if top else nonroot
         okey = owner.key
         n_links = len(links)  # to undo a broken list
-        n_seen = len(seen)
         seen_nonplaced = False
-        inner = inner_idx = hops = 0
+        # inner children: inner_idx of them have an inner status, and neg
+        # a negative one, which still counts toward the owner's rank budget
+        inner_idx = neg = 0
         prev_rho = None
         nxt = owner.child
-        go_on = True
-        while go_on and hops < cap:
-            hops += 1
+        for hops in hop_range:
             v = nxt
             nxt = v.right
-            # v is the rightmost member unless its right neighbour links
-            # back to it
-            go_on = nxt is not None and nxt.left is v
             # a live vertex of the heap; a Node hashes by identity
-            if isinstance(v, Node) and v in live:
-                if v in seen:
-                    links.append(Violation("shared_vertex", key=v.key))
-                    continue
-                seen[v] = None
-            else:
+            if not isinstance(v, Node) or v not in live:
                 if id(v) in seen:
                     links.append(Violation("shared_vertex", key=v.key))
-                    continue
-                links.append(Violation("dead_vertex", key=v.key))
-                seen[id(v)] = None
-                if v.child is not None:
-                    stack.append(v)
-                continue
-            r = v.rank
-            if v.child is not None:
-                stack.append(v)
-            elif r != 0:  # a leaf: size 1, not dangerous, rank 0 expected
-                if r < 0:
-                    bad[v] = [Violation("negative_rank", key=v.key, rank=r)]
                 else:
-                    if r >= 3:
-                        bound = (table[r] if r < len(table)
-                                 else _bounds(r)[r])
-                        short[v] = Violation("size_bound", key=v.key, rank=r,
-                                             size=1, bound=bound)
-                    bad[v] = [Violation(
-                        "rank_mismatch", key=v.key, rank=r, expect=0,
-                        detail="no inner children")]
-            rank_sum += r
-            st = v.status
-            if not N <= st <= M:
-                tally[N] += 1
-                if not top:
-                    # a negative status still counts toward the owner's
-                    # rank budget
-                    inner += st < N
+                    links.append(Violation("dead_vertex", key=v.key))
+                    seen[id(v)] = 1
+                    if v.child is not None:
+                        push(v)
+            elif v in seen:
+                links.append(Violation("shared_vertex", key=v.key))
+            else:
+                seen[v] = 1
+                r = v.rank
+                rank_sum += r
+                if v.child is not None:
+                    push(v)
+                elif r != 0:  # a leaf: size 1, not dangerous, rank 0 expected
+                    if r < 0:
+                        bad[v] = [Violation("negative_rank", key=v.key,
+                                            rank=r)]
+                    else:
+                        if r >= 3:
+                            short[v] = Violation(
+                                "size_bound", key=v.key, rank=r, size=1,
+                                bound=_bounds(r)[r])
+                        bad[v] = [Violation(
+                            "rank_mismatch", key=v.key, rank=r, expect=0,
+                            detail="no inner children")]
+                st = v.status
+                if top:
+                    # statuses and order are meaningless on the root list
+                    root[st if st in statuses else N] += 1
+                elif st not in statuses:
+                    neg += st < N
                     content.append(Violation("bad_status", key=v.key,
                                              status=st))
-                continue
-            tally[st] += 1
-            if top:
-                continue  # statuses and order are meaningless on the root list
-            try:
-                if v.key < okey:
-                    content.append(Violation(
-                        "heap_order", parent_key=okey, child_key=v.key))
-            except TypeError:  # e.g. a foreign heap's head, keyed None
-                content.append(Violation(
-                    "incomparable_key", parent_key=okey, child_key=v.key))
-            if st == P:
-                if seen_nonplaced:
-                    content.append(Violation(
-                        "layout", parent_key=okey, child_key=v.key,
-                        detail="placed child after the placed prefix"))
-            else:
-                seen_nonplaced = True
-                if st <= C:
-                    inner += 1
-                    rho = r + 1 if st == C else r
-                    if rho < inner_idx:
+                else:
+                    try:
+                        if v.key < okey:
+                            content.append(Violation(
+                                "heap_order", parent_key=okey,
+                                child_key=v.key))
+                    except TypeError:  # e.g. a foreign heap's head, keyed None
                         content.append(Violation(
-                            "index_bound", parent_key=okey, child_key=v.key,
-                            inner_index=inner_idx, rho=rho))
-                    if prev_rho is not None and rho < prev_rho + 1:
-                        content.append(Violation(
-                            "inner_order", parent_key=okey, child_key=v.key,
-                            prev_rho=prev_rho, rho=rho))
-                    prev_rho = rho
-                    inner_idx += 1
+                            "incomparable_key", parent_key=okey,
+                            child_key=v.key))
+                    if st == P:
+                        placed += 1
+                        if seen_nonplaced:
+                            content.append(Violation(
+                                "layout", parent_key=okey, child_key=v.key,
+                                detail="placed child after the placed prefix"))
+                    elif st == M:
+                        misplaced += 1
+                        seen_nonplaced = True
+                    else:
+                        seen_nonplaced = True
+                        if st == C:
+                            critical += 1
+                            rho = r + 1
+                        else:
+                            rho = r
+                        if rho < inner_idx:
+                            content.append(Violation(
+                                "index_bound", parent_key=okey,
+                                child_key=v.key, inner_index=inner_idx,
+                                rho=rho))
+                        if prev_rho is not None and rho < prev_rho + 1:
+                            content.append(Violation(
+                                "inner_order", parent_key=okey,
+                                child_key=v.key, prev_rho=prev_rho, rho=rho))
+                        prev_rho = rho
+                        inner_idx += 1
+            # v is the rightmost member unless its right neighbour links
+            # back to it
+            if nxt is None or nxt.left is not v:
+                break
+        else:
+            v = None  # the cap is exceeded
         # A sound list ends within the cap, its rightmost member's right link
         # at the owner. Undo what a broken list's members added, so the walk
-        # neither trusts nor recurses into it.
-        if go_on or nxt is not owner:
+        # neither trusts nor recurses into it: each hop added to seen but
+        # one that found a shared vertex.
+        if v is None or nxt is not owner:
+            shared = sum(x.kind == "shared_vertex" for x in links[n_links:])
             del links[n_links:]
             del stack[depth:]
-            for _ in range(len(seen) - n_seen):
+            for _ in range(hops - shared):
                 seen.popitem()  # dicts pop last in, first out
-            if go_on:
+            if v is None:
                 links.append(Violation(
                     "broken_owner_link", owner_key=okey,
                     detail="right walk exceeded %d nodes" % cap))
@@ -366,18 +387,19 @@ def _audit(heap):
         if links:
             continue  # every content result is thrown away
 
-        # The owner's own checks. rho and _is_dangerous (a nonzero rank, an
-        # inner rightmost child w0 and r <= rho(w0)) are written out. w0 is
-        # active unless outer; w1 too unless a gap (rule 1/2) is forced: a
-        # misplaced w1, a placed w1 (rho = -1), or rho0 > rho(w1) + 1.
-        r = owner.rank
+        # The owner's own checks; with the links sound, r and st still hold
+        # the rank and status of the rightmost member w0. rho and
+        # _is_dangerous (a nonzero rank, an inner w0 and rank <= rho(w0))
+        # are written out. w0 is active unless outer; w1 too unless a gap
+        # (rule 1/2) is forced: a misplaced w1, a placed w1 (rho = -1), or
+        # rho0 > rho(w1) + 1.
         w0 = v
-        st0 = w0.status
-        rho0 = w0.rank + 1 if st0 == C else w0.rank
+        st0 = st
+        rho0 = r + 1 if st0 == C else r
+        r = owner.rank
         danger = r != 0 and st0 <= C and r <= rho0
         dangerous += danger
         gap = rho0 > 0
-        a = b = None
         if st0 == M:
             # not at rest, yet sized as the seek phase would: skip the
             # misplaced tail
@@ -387,13 +409,15 @@ def _audit(heap):
                 i -= 1
             if i >= 0 and members[i].status != P:
                 a = members[i]
+                b = None
                 if i > 0:
                     u = members[i - 1]
                     su = u.status
                     if su != M and su != P and _rho(a) <= _rho(u) + 1:
                         b = u
+                grow.append((owner, a, b))
         elif st0 != P:
-            a = w0
+            b = None
             if hops >= 2:
                 u = w0.left
                 su = u.status
@@ -403,63 +427,63 @@ def _audit(heap):
                     gap = rho0 > (u.rank + 1 if su == C else u.rank) + 1
                     if not gap:
                         b = u
-        owners.append((owner, r, a, b))
-        if r < 0:  # no size bound: the table starts at rank 0
+            # the active closure's size, at once when the active children
+            # are leaves, each of size 1
+            if w0.child is None and (b is None or b.child is None):
+                seen[owner] = 2 if b is None else 3
+            else:
+                grow.append((owner, w0, b))
+        if r >= 3:
+            big.append(owner)
+        elif r < 0:  # no size bound: the table starts at rank 0
             bad[owner] = [Violation("negative_rank", key=owner.key, rank=r)]
             continue
-        vs = []
-        if r < inner:
-            vs.append(Violation(
-                "rank_budget", key=owner.key, rank=r, inner_children=inner))
+        if r < inner_idx + neg:
+            bad[owner] = [Violation("rank_budget", key=owner.key, rank=r,
+                                    inner_children=inner_idx + neg)]
         # rank consistency against the rules, on the resting forest
         if st0 == M:
-            vs.append(Violation(
+            flag(owner, []).append(Violation(
                 "misplaced_rightmost", key=owner.key, child_key=w0.key))
         elif st0 == P:
             if r != 0:
-                vs.append(Violation(
+                flag(owner, []).append(Violation(
                     "rank_mismatch", key=owner.key, rank=r, expect=0,
                     detail="no inner children"))
         elif gap and st0 == C:
             # rule 2 is pending; tolerated deep in a tree, never at a root
             if is_root:
-                vs.append(Violation(
+                flag(owner, []).append(Violation(
                     "rule2_pending_root", key=owner.key, rank=r, rho0=rho0))
         else:
             expect = rho0 if gap else rho0 + 1
             if r != expect:
-                vs.append(Violation(
+                flag(owner, []).append(Violation(
                     "rank_mismatch", key=owner.key, rank=r, expect=expect,
                     gap=gap, rho0=rho0))
-            if not is_root and owner.status == N and danger:
-                vs.append(Violation(
+            if danger and owner.status == N and not is_root:
+                flag(owner, []).append(Violation(
                     "steady_dangerous", key=owner.key, rank=r, rho0=rho0))
-        if vs:
-            bad[owner] = vs
 
     if links:
         return links, links, links, None
-    if heap.size != len(seen):
+    if n != len(seen):
         links.append(Violation(
-            "size_mismatch", reachable=len(seen), recorded=heap.size))
+            "size_mismatch", reachable=len(seen), recorded=n))
         return links, links, links, None
 
-    # active-closure sizes (see check_size_bounds), children first; a leaf's
-    # size is 1, and P(0..2) = 1, so ranks below 3 are never undersized
-    sizes = {}
-    for owner, r, a, b in reversed(owners):
-        size = 1
-        if a is not None:
-            size += sizes.get(a, 1)
-            if b is not None:
-                size += sizes.get(b, 1)
-        sizes[owner] = size
-        if r >= 3:
-            bound = table[r] if r < len(table) else _bounds(r)[r]
-            if size < bound:
-                short[owner] = Violation(
-                    "size_bound", key=owner.key, rank=r, size=size,
-                    bound=bound)
+    # the waiting sizes (see check_size_bounds), children first
+    for owner, a, b in reversed(grow):
+        seen[owner] = (1 + seen[a] if b is None
+                       else 1 + seen[a] + seen[b])
+    # P(0..2) = 1, so ranks below 3 are never undersized
+    for owner in big:
+        r = owner.rank
+        bound = _bounds(r)[r]
+        size = seen[owner]
+        if size < bound:
+            short[owner] = Violation(
+                "size_bound", key=owner.key, rank=r, size=size, bound=bound)
 
     structure = content
     if bad:
@@ -468,32 +492,32 @@ def _audit(heap):
             if vs is not None:
                 structure.extend(vs)
     # parents before children; pass 1 found the links sound, so this ends
-    order = iter_vertices(heap) if short else ()
-    undersized = [short[v] for v in order if v in short]
+    undersized = ([short[v] for v in iter_vertices(heap) if v in short]
+                  if short else [])
 
-    n = heap.size
-    critical = nonroot[CRITICAL_INNER]
-    inner = nonroot[NONCRITICAL_INNER] + critical
-    phi2 = 0 if n == 0 else min(tau, plastic_cap(n))
-    phis = (tau, nonroot[OUTER_PLACED], phi2, critical, rank_sum - inner,
-            nonroot[OUTER_MISPLACED], dangerous)
+    noncritical = n - tau - critical - placed - misplaced
+    # a tree holds at least one vertex, and plastic_cap(n) >= 3 for n >= 2,
+    # so up to three trees are never capped
+    phis = (tau, placed, tau if tau <= 3 else min(tau, plastic_cap(n)),
+            critical, rank_sum - noncritical - critical, misplaced,
+            dangerous)
     # potentials() first; the raw ingredients only when all seven agree,
     # since phi4 reads the rank sum and the noncritical tally only through
     # their difference (phi6 is the dangerous-vertex count itself)
-    cached = tuple(heap.potentials())
-    walked = [rank_sum] + list(map(add, nonroot, root))
-    fields = [heap._rank_sum] + heap._stat_tally
+    cached = heap.potentials()
     if phis != cached:
-        tallies = [Violation("tally_mismatch", phi=i, walked=phis[i],
-                             cached=cached[i])
-                   for i in range(7) if phis[i] != cached[i]]
-    elif walked != fields:
-        tallies = [Violation("tally_mismatch", field=f, walked=w, cached=c)
-                   for f, w, c in zip(_TALLY_FIELDS, walked, fields)
-                   if w != c]
-    else:
-        tallies = []
-    return structure, undersized, tallies, phis
+        return structure, undersized, [
+            Violation("tally_mismatch", phi=i, walked=phis[i],
+                      cached=cached[i])
+            for i in range(7) if phis[i] != cached[i]], phis
+    walked = [rank_sum, noncritical + root[N], critical + root[C],
+              placed + root[P], misplaced + root[M]]
+    fields = [heap._rank_sum] + heap._stat_tally
+    if walked == fields:
+        return structure, undersized, [], phis
+    return structure, undersized, [
+        Violation("tally_mismatch", field=f, walked=w, cached=c)
+        for f, w, c in zip(_TALLY_FIELDS, walked, fields) if w != c], phis
 
 
 def compute_potentials(heap):

@@ -27,7 +27,7 @@ from .auditor import (BudgetAudit, audit_state, check_root_safety, children,
                       iter_vertices)
 from .errors import HeapError
 from .fibonacci import FibonacciHeap
-from .node_store import OUTER_PLACED, STATUS_NAMES
+from .node_store import OUTER_PLACED, status_label
 from .oracle import Oracle
 from .padovan import PadovanHeap
 from .trace import TraceError, format_trace, iter_workload, parse_trace, replay
@@ -67,19 +67,13 @@ def _write_csv(path, row):
         w.writerow(row)
 
 
-_STATUS_LABELS = dict(enumerate(STATUS_NAMES))
-
-
 def write_dot(heap, stream):
     """Emit the padovan forest as DOT; outer children get dashed edges."""
     roots = set(heap.roots())
     stream.write("digraph padovan_forest {\n")
     stream.write("  node [shape=box];\n")
     for v in iter_vertices(heap):
-        if v in roots:
-            status = "-"
-        else:  # an out-of-range status is shown as it is, after a "?"
-            status = _STATUS_LABELS.get(v.status) or "?%r" % (v.status,)
+        status = "-" if v in roots else status_label(v.status)
         stream.write('  n%d [label="%s/%d/%s"];\n'
                      % (id(v), v.key, v.rank, status))
         for w in children(v):

@@ -28,6 +28,12 @@ OUTER_PLACED = 2
 OUTER_MISPLACED = 3
 
 STATUS_NAMES = ("N", "C", "P", "M")
+_STATUS_LABELS = dict(enumerate(STATUS_NAMES))
+
+
+def status_label(status):
+    """The status's name; one outside 0..3 shows as "?" and its value."""
+    return _STATUS_LABELS.get(status) or "?%r" % (status,)
 
 
 class Node:
@@ -45,7 +51,7 @@ class Node:
 
     def __repr__(self):
         return "Node(key=%r, rank=%d, %s)" % (
-            self.key, self.rank, STATUS_NAMES[self.status])
+            self.key, self.rank, status_label(self.status))
 
 
 class StepCounters:

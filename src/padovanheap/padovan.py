@@ -698,10 +698,11 @@ class PadovanHeap:
 
         As the auditor's walk does, a status outside 0..3 is counted as
         noncritical inner, and a child list is left where a member's right
-        neighbor does not link back to it. The walk reaches at most
-        size + 1 members in all, so broken links cannot make it loop; on
-        such a forest the tallies are whatever it counted, and the audit
-        reports the links.
+        link is None (a freed vertex's) or its right neighbor does not link
+        back to it. The walk reaches at most size + 1 members in all, so
+        broken links cannot make it loop, and a link into a freed vertex
+        does not make it raise; on such a forest the tallies are whatever it
+        counted, and the audit reports the links.
         """
         t = [0, 0, 0, 0]
         rank_sum = dangerous = 0
@@ -717,11 +718,13 @@ class PadovanHeap:
                 t[st if NONCRITICAL_INNER <= st <= OUTER_MISPLACED
                   else NONCRITICAL_INNER] += 1
                 rank_sum += v.rank
-                if v.child is not None:
-                    dangerous += is_dangerous(v)
+                c = v.child
+                if c is not None:
+                    if c.left is not None:  # else c is freed: no danger test
+                        dangerous += is_dangerous(v)
                     stack.append(v)
                 nxt = v.right
-                if nxt.left is not v:
+                if nxt is None or nxt.left is not v:
                     break
                 v = nxt
         self._stat_tally = t

@@ -11,6 +11,7 @@ from padovanheap import FibonacciHeap, PadovanHeap, plastic_cap
 from padovanheap.errors import StaleHandleError
 from padovanheap.node_store import (
     NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
+from padovanheap import auditor
 from padovanheap.auditor import (
     BudgetAudit, CostModel, Violation, audit_amortized, audit_state,
     check_root_safety, check_size_bounds, check_structure, children,
@@ -18,7 +19,7 @@ from padovanheap.auditor import (
 from padovanheap.cli import write_dot
 from padovanheap.trace import gen_workload, replay
 
-from list_model import is_live
+from list_model import detach, is_live, push_back
 
 # The four traces whose step counts test_step_counts_are_frozen pins.
 FROZEN_TRACES = [("random", 20000, 1), ("random", 20000, 2),
@@ -389,6 +390,24 @@ def test_detect_undersized_tree():
     assert vs[0].info["size"] == 4 and vs[0].info["bound"] == 5
 
 
+def test_size_counts_an_active_left_neighbour_that_has_children():
+    # root 1's children are 2, then the leaf 3, whose corrupted rank 2
+    # leaves no gap to 2's rho 1: 2 is active as well as 3, and 2 holds 4,
+    # so 1's active closure is 1, 2, 3 and 4, short of rank 5's P(5) = 5
+    h = PadovanHeap()
+    hs = {k: h.insert(k) for k in range(1, 5)}
+    a, d = h.arena, h.dummy
+    for k in (2, 3, 4):
+        detach(a, hs[k], d)
+    push_back(a, hs[2], hs[4])
+    push_back(a, hs[1], hs[2])
+    push_back(a, hs[1], hs[3])
+    hs[2].rank, hs[3].rank, hs[1].rank = 1, 2, 5
+    want = [Violation("size_bound", key=1, rank=5, size=4, bound=5).render()]
+    assert [v.render() for v in check_size_bounds(h)] == want
+    assert [v.render() for v in frozen_audit(h)[1]] == want
+
+
 def test_negative_rank_has_no_size_bound():
     h, hs = build8()
     hs[3].rank = -1
@@ -448,6 +467,38 @@ def test_a_link_into_a_freed_vertex_is_reported_not_raised(how):
         assert [v.render() for v in view(h)] == want, view.__name__
     with pytest.raises(ValueError, match="broken_owner_link"):
         compute_potentials(h)
+
+
+def test_root_safety_reads_a_child_link_into_a_freed_vertex_as_safe():
+    # root 1 (rank 3) given a child that delete freed: its rightmost child
+    # is read through the freed vertex's None left link
+    h, hs = build8()
+    f = h.insert(20)
+    h.delete(f)
+    hs[1].child = f
+    assert [v.render() for v in audit_state(h)] == [
+        Violation("broken_owner_link", owner_key=1, child_key=20).render()]
+    assert check_root_safety(h) == []
+
+
+# a leaf, whose list is walked after the seven other vertices; the root,
+# whose only list member is now the freed vertex
+@pytest.mark.parametrize("owner, walked", [(8, 9), (1, 2)])
+def test_a_first_read_on_a_link_into_a_freed_vertex_returns(owner, walked):
+    # the seeding walk ends the freed vertex's list at its None right link
+    # and makes no danger test through its None left link
+    h = PadovanHeap()
+    hs = {k: h.insert(k) for k in range(1, 9)}
+    h.find_min()
+    f = h.insert(20)
+    h.delete(f)
+    hs[owner].child = f
+    assert h._stat_tally is None
+    h.potentials()
+    assert sum(h._stat_tally) == walked  # the freed vertex among them
+    assert [v.render() for v in audit_state(h)] == [
+        Violation("broken_owner_link", owner_key=owner,
+                  child_key=20).render()]
 
 
 def test_a_right_cycle_is_stopped_by_the_walk_cap():
@@ -1156,6 +1207,45 @@ def test_audit_matches_frozen_reference_after_every_event():
         h = PadovanHeap()
         replay(gen_workload(mode, n, seed=seed), h,
                after=lambda idx, ev: assert_matches_frozen(h))
+
+
+def test_audit_matches_frozen_reference_on_the_audit_plan_shapes():
+    # perfbench's audit workload: short random traces of 100, 500 and 1000
+    # ops, each from the empty heap, every state audited
+    rng = random.Random(24)
+    for n in (100, 100, 100, 500, 1000):
+        h = PadovanHeap()
+        replay(gen_workload("random", n, seed=rng.randrange(2 ** 31)), h,
+               after=lambda idx, ev: assert_matches_frozen(h))
+
+
+def test_active_closure_sizes_match_frozen_reference(monkeypatch):
+    # Bounds no vertex of rank 3 or more can meet make check_size_bounds
+    # report every such vertex's active-closure size, which sums the sizes
+    # of the ranks below; P(0..2) = 1 stays, as those ranks are never
+    # checked. The traces of ..._on_the_audit_plan_shapes, some of those of
+    # ..._after_every_event, then the corrupted states.
+    table = [1, 1, 1] + [10 ** 9] * 61
+    monkeypatch.setattr(auditor, "_size_bounds", table)
+    rng = random.Random(24)
+    runs = [("random", n, rng.randrange(2 ** 31))
+            for n in (100, 100, 100, 500, 1000)]
+    runs += [("random", 600, seed) for seed in range(4)]
+    runs += [("competition", 500, 0), ("ascending", 500, 0)]
+    reported = 0
+
+    def after(idx, ev):
+        nonlocal reported
+        want = [v.render() for v in frozen_audit(h, table)[1]]
+        assert [v.render() for v in check_size_bounds(h)] == want
+        reported += len(want)
+
+    for mode, n, seed in runs:
+        h = PadovanHeap()
+        replay(gen_workload(mode, n, seed=seed), h, after=after)
+    for h in corrupted_states():
+        after(None, None)
+    assert reported > 20000
 
 
 def test_audit_matches_frozen_reference_on_corrupted_states():

@@ -218,6 +218,31 @@ def test_run_audit_reports_a_broken_root_list(tmp_path, capsys,
     assert "kind=broken_owner_link" in err
 
 
+def test_run_audit_reports_a_child_link_into_a_freed_vertex(tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+    """check_root_safety runs after the f as well, and reads the freed
+    vertex's None left link as no danger, so the audit is reported."""
+    find_min = PadovanHeap.find_min
+
+    def find_min_then_aim_the_root_at_a_freed_vertex(self):
+        m = find_min(self)
+        f = self.insert(20)
+        self.delete(f)
+        self.roots()[0].child = f
+        return m
+
+    monkeypatch.setattr(PadovanHeap, "find_min",
+                        find_min_then_aim_the_root_at_a_freed_vertex)
+    tr = write(tmp_path, "t.txt",
+               "".join("i %d\n" % k for k in range(1, 9)) + "f\n")
+    assert run_cli("run", tr, "--audit") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("audit failed at event 8 (f):\n"
+                   "  kind=broken_owner_link child_key=20 owner_key=1\n")
+
+
 def test_run_audit_fails_on_a_budget_violation(tmp_path, capsys,
                                                monkeypatch):
     # the default model with both budgets at 0: the first insert's

@@ -24,6 +24,14 @@ def test_status_codes():
     assert STATUS_NAMES == ("N", "C", "P", "M")
 
 
+@pytest.mark.parametrize("status, label", [(4, "?4"), (-1, "?-1")])
+def test_repr_shows_an_out_of_range_status_as_is(status, label):
+    v = Node(5)
+    assert repr(v) == "Node(key=5, rank=0, N)"
+    v.status = status
+    assert repr(v) == "Node(key=5, rank=0, %s)" % label
+
+
 def test_push_front_and_back():
     a = Arena()
     p = a.alloc("p")

@@ -414,6 +414,18 @@ def test_stale_handle_after_delete_min():
         h.delete(v)
 
 
+@pytest.mark.parametrize("status, label", [(4, "?4"), (-1, "?-1")])
+def test_stale_handle_message_shows_an_out_of_range_status(status, label):
+    h = PadovanHeap()
+    v = h.insert(1)
+    h.delete(v)
+    v.status = status
+    with pytest.raises(StaleHandleError) as err:
+        h.key_of(v)
+    assert str(err.value) == (
+        "dead or foreign handle: Node(key=1, rank=0, %s)" % label)
+
+
 # ------------------------------------------- handle checks of both heaps
 
 def heap_digest(h):
