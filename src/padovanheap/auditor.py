@@ -15,8 +15,9 @@ for a second, reverse pass over such owners.
 check_root_safety and iter_vertices start from heap.roots(), which stops
 after heap.size members, so a corrupted root list cannot hang them; below
 the roots, children and iter_vertices trust links and are for sound heaps.
-BudgetAudit reads potentials(), which trusts the root list: audit a state
-before its budget, as run --audit does.
+BudgetAudit reads potentials(): a heap's first read seeds its tallies in
+a bounded walk, and later reads follow no link, so a corrupted forest
+cannot hang the budget audit either.
 
 The amortized side mechanizes the accounting that makes the heap work:
 seven potentials
@@ -243,11 +244,9 @@ def _audit(heap):
     seen = {}      # vertex reached -> active-closure size; a non-Node by id
     grow = []      # (owner, a, b): an active child a or b has children
     big = []       # owners of rank 3 or more, the ranks P(r) > 1 bounds
-    # The raw status tallies: the root list's, and of the nonroots those
-    # but noncritical inner, which are the rest. The walk counts an unknown
-    # status as noncritical inner, while potentials() counts an unknown
-    # root status as misplaced, so such a root shows as a tally_mismatch.
-    root = [0, 0, 0, 0]
+    # The nonroot status tallies but noncritical inner, which are the rest:
+    # an unknown status counts as noncritical inner, as the heap's seeding
+    # walk counts it. Root statuses are read by nothing.
     critical = placed = misplaced = 0
     rank_sum = dangerous = tau = 0
     # The root list pushes its owners first, so they lie at the bottom of
@@ -306,8 +305,7 @@ def _audit(heap):
                             detail="no inner children")]
                 st = v.status
                 if top:
-                    # statuses and order are meaningless on the root list
-                    root[st if st in statuses else N] += 1
+                    pass  # statuses and order are meaningless on roots
                 elif st not in statuses:
                     neg += st < N
                     content.append(Violation("bad_status", key=v.key,
@@ -510,8 +508,7 @@ def _audit(heap):
             Violation("tally_mismatch", phi=i, walked=phis[i],
                       cached=cached[i])
             for i in range(7) if phis[i] != cached[i]], phis
-    walked = [rank_sum, noncritical + root[N], critical + root[C],
-              placed + root[P], misplaced + root[M]]
+    walked = [rank_sum, noncritical, critical, placed, misplaced]
     fields = [heap._rank_sum] + heap._stat_tally
     if walked == fields:
         return structure, undersized, [], phis
@@ -605,8 +602,8 @@ class BudgetAudit:
     __init__ takes is the heap's first potentials() read, unless something
     read it before: that read seeds the tallies from one O(n) walk of the
     forest, and the heap keeps them exact from then on, so each later read
-    is one root-list scan. verify_tallies pins the kept tallies to a full
-    recount during fuzzing, so the audit can trust them.
+    is O(1) and follows no link. verify_tallies pins the kept tallies to a
+    full recount during fuzzing, so the audit can trust them.
     """
 
     __slots__ = ("heap", "model", "rows", "violations", "_counters", "_w",

@@ -98,7 +98,7 @@ def _audited_replay(events, heap):
     def after(idx, ev):
         violations = audit_state(heap)
         if not violations:
-            # potentials() trusts the root list: read it on a sound state
+            # a charge means something only on a sound state
             budget.after(idx, ev)
         if ev[0] == "f":
             # the consolidated root must have been made safe

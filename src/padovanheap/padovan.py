@@ -37,15 +37,20 @@ vertex that is not among the last two children of its list (where the
 parent is unreachable in O(1); the deferred rank decrease is budgeted by
 the potential analysis, and the status is adjusted in place instead).
 
-The potential ingredients (status tallies over all live vertices, the rank
-sum, and the dangerous-vertex count) exist only for the analysis, so a heap
-keeps them only from its first potentials() read on. Until then they are
-None, and every operation skips their bookkeeping and _cut's danger probes.
-The first read seeds them from one walk of the forest, O(n); from then on
-every operation keeps them exact as it goes, and each read costs one
-root-list scan. Root statuses carry no meaning and may legitimately hold
-stale or scribbled values; the tallies stay exact because they count raw
-field values and subtract per-status root contributions at read time.
+The potential ingredients (status tallies over the nonroot vertices, the
+tree count, the rank sum, and the dangerous-vertex count) exist only for
+the analysis, so a heap keeps them only from its first potentials() read
+on. Until then they are None, and every operation skips their bookkeeping
+and _cut's danger probes. The first read seeds them from one walk of the
+forest, O(n); from then on every operation keeps them exact as it goes,
+and each read costs O(1). Root statuses carry no meaning and may hold
+stale or scribbled values, so the status tally counts nonroots only: a
+vertex's status leaves it when the vertex becomes a root and enters it
+when the vertex becomes a child. Two moves cannot tell in O(1) whether a
+vertex is a root: a cut whose parent is out of reach, and the in-place
+status write of a cascade that stops at such a vertex. In a read heap
+each walks right to the end of the vertex's list, at most size members,
+to decide, and a root removal walks the children it promotes.
 
 The dangerous-vertex count, once kept, takes one probe of a vertex before
 and one after each compound change to it: a cut with the cascade step that
@@ -97,8 +102,12 @@ _LOG_PLASTIC = math.log(PLASTIC)
 
 
 def plastic_cap(n):
-    """1 + floor(log base-plastic of n): the tree-count cap used by phi2."""
-    assert n >= 1
+    """1 + floor(log base-plastic of n): the tree-count cap used by phi2.
+
+    Raises ValueError for n < 1, where the cap is not defined.
+    """
+    if n < 1:
+        raise ValueError("plastic_cap needs n >= 1, got %r" % (n,))
     return 1 + int(math.log(n) / _LOG_PLASTIC)
 
 
@@ -110,9 +119,10 @@ class PadovanHeap:
         self._live = set()  # the live vertices themselves, dummy excluded
         self._size = 0
         # The potential tallies, None until the first potentials() read
-        # seeds them: live vertices bucketed by raw status field (dummy
-        # excluded), the rank sum and the dangerous-vertex count
+        # seeds them: nonroot vertices bucketed by raw status field, the
+        # tree count, the rank sum and the dangerous-vertex count
         self._stat_tally = None
+        self._trees = None
         self._rank_sum = None
         self._dangerous = None
         self.max_rank_seen = 0
@@ -181,6 +191,18 @@ class PadovanHeap:
             return False
         rho = w0.rank + 1 if st == CRITICAL_INNER else w0.rank
         return r <= rho
+
+    def _on_root_list(self, v):
+        """Whether v's list is the root list: a walk right to the end of the
+        list, of at most size members. A walk the cap or a None link stops
+        reads as a child list."""
+        d = self._dummy
+        for _ in range(self._size):
+            nxt = v.right
+            if nxt is None or nxt.left is not v:
+                return nxt is d
+            v = nxt
+        return False
 
     def _place(self, owner, w):
         """Move child w of owner to the front as an outer placed child.
@@ -262,11 +284,14 @@ class PadovanHeap:
         A vertex's danger test reads only its rank, its rightmost child and
         that child's rho, so the tally of each vertex the cascade changes is
         settled by one probe before its first change and one after its last;
-        the deltas of any probes in between would telescope.
+        the deltas of any probes in between would telescope. When v leaves
+        a child list, its status leaves the status tally and v joins the
+        tree count.
         """
         d = self._dummy
+        t = self._stat_tally
         # the danger probe, or False while the count is not kept
-        dangerous = self._stat_tally is not None and self._is_dangerous
+        dangerous = t is not None and self._is_dangerous
         nxt = v.right
         prev = v.left
         # v's position, by the among-the-last-two end test
@@ -274,14 +299,21 @@ class PadovanHeap:
             # not among the last two: both neighbors are list members; the
             # owner stays unknown and its rank update is deferred (covered
             # by the rank-surplus potential). v cannot be a rightmost child
-            # here, so no parent's danger status changes either.
+            # here, so no parent's danger status changes either. v may be a
+            # root already: a read heap walks to the end of v's list to
+            # tell.
             p = None
+            if t is not None and not self._on_root_list(nxt.right):
+                t[v.status] -= 1
+                self._trees += 1
         else:
             p = nxt if nxt.left is not v else nxt.right  # last : second last
             if p.right is p:
                 return  # v is a root already
-            if dangerous:
+            if t is not None:
                 p_pre = dangerous(p)  # before the move: p loses a child
+                t[v.status] -= 1
+                self._trees += 1
         # the join_back row of Arena's table: 3 writes to unlink a sole
         # member, else 4, and 4 to append. The root list keeps v's tree
         # root, or other roots besides v, so it is never empty.
@@ -340,13 +372,17 @@ class PadovanHeap:
             elif g is None:
                 # the parent is unreachable in O(1): adjust p's status in
                 # place and stop. If p happens to be a root this scribbles a
-                # meaningless status byte, which every consumer ignores.
+                # meaningless status byte, which every consumer ignores and
+                # a read heap does not book.
                 st = p.status
-                if st == NONCRITICAL_INNER:
-                    self._set_status(
-                        p, CRITICAL_INNER if delta == 1 else OUTER_MISPLACED)
-                elif st == CRITICAL_INNER:
-                    self._set_status(p, OUTER_MISPLACED)
+                if st == NONCRITICAL_INNER or st == CRITICAL_INNER:
+                    st = (CRITICAL_INNER
+                          if st == NONCRITICAL_INNER and delta == 1
+                          else OUTER_MISPLACED)
+                    if t is None or self._on_root_list(p):
+                        p.status = st
+                    else:
+                        self._set_status(p, st)
             elif g.right is g:
                 pass  # p is a root: rank updated, status meaningless
             else:
@@ -392,9 +428,8 @@ class PadovanHeap:
             v.right = d
             first.left = v
             a.counters.link_writes += 6
-        t = self._stat_tally
-        if t is not None:
-            t[NONCRITICAL_INNER] += 1
+        if self._stat_tally is not None:
+            self._trees += 1
         self._size += 1
         return v
 
@@ -423,6 +458,7 @@ class PadovanHeap:
             ot = other._stat_tally
             for i in range(4):
                 t[i] += ot[i]
+            self._trees += other._trees
             self._rank_sum += other._rank_sum
             self._dangerous += other._dangerous
         if other.max_rank_seen > self.max_rank_seen:
@@ -524,8 +560,6 @@ class PadovanHeap:
                         loser.right = w
                         first.left = loser
                         writes += 8
-                    if t is not None:
-                        t[loser.status] -= 1
                     loser.status = NONCRITICAL_INNER
                     joins += 1
                     r += 1
@@ -575,8 +609,6 @@ class PadovanHeap:
                     first.left = loser
                     winner.child = loser
                     writes += 8
-                if t is not None:
-                    t[loser.status] -= 1
                 loser.status = OUTER_PLACED
                 links += 1
                 x = winner.left
@@ -587,6 +619,7 @@ class PadovanHeap:
             if t is not None:
                 t[NONCRITICAL_INNER] += joins
                 t[OUTER_PLACED] += links
+                self._trees -= joins + links
                 self._rank_sum += joins
             if top > self.max_rank_seen:  # _make_safe may have raised it
                 self.max_rank_seen = top
@@ -645,6 +678,8 @@ class PadovanHeap:
 
         The detach_promote row of Arena's table, then Arena.free, written
         out: m's children become roots at the right end, in order, in O(1).
+        A read heap then walks them, at most size members, to take their
+        statuses off the status tally and add them to the tree count.
         """
         d = self._dummy
         kid = m.child
@@ -686,8 +721,18 @@ class PadovanHeap:
         self.arena.counters.link_writes += writes
         t = self._stat_tally
         if t is not None:
-            t[m.status] -= 1
             self._rank_sum -= m.rank
+            if kid is None:
+                self._trees -= 1
+            else:
+                # the promoted children end the root list: m leaves the
+                # tree count, and hops + 1 children join it
+                for hops in range(self._size):
+                    t[kid.status] -= 1
+                    kid = kid.right
+                    if kid is d:
+                        break
+                self._trees += hops
         self._size -= 1
 
     # -- potentials -------------------------------------------------------
@@ -696,27 +741,33 @@ class PadovanHeap:
         """Count the tallies from the forest, start keeping them, and return
         the status tally.
 
-        As the auditor's walk does, a status outside 0..3 is counted as
-        noncritical inner, and a child list is left where a member's right
-        link is None (a freed vertex's) or its right neighbor does not link
-        back to it. The walk reaches at most size + 1 members in all, so
-        broken links cannot make it loop, and a link into a freed vertex
-        does not make it raise; on such a forest the tallies are whatever it
-        counted, and the audit reports the links.
+        The root list is walked first: its members are counted as trees,
+        and every later member by status. As the auditor's walk does, a
+        status outside 0..3 is counted as noncritical inner, and a child
+        list is left where a member's right link is None (a freed vertex's)
+        or its right neighbor does not link back to it. The walk reaches at
+        most size + 1 members in all, so broken links cannot make it loop,
+        and a link into a freed vertex does not make it raise; on such a
+        forest the tallies are whatever it counted, and the audit reports
+        the links.
         """
         t = [0, 0, 0, 0]
-        rank_sum = dangerous = 0
+        trees = rank_sum = dangerous = 0
         is_dangerous = self._is_dangerous
         d = self._dummy
         left = self._size + 1
         stack = [d] if d.child is not None else []
         while stack and left:
-            v = stack.pop().child
+            owner = stack.pop()
+            v = owner.child
             while left:
                 left -= 1
-                st = v.status
-                t[st if NONCRITICAL_INNER <= st <= OUTER_MISPLACED
-                  else NONCRITICAL_INNER] += 1
+                if owner is d:
+                    trees += 1
+                else:
+                    st = v.status
+                    t[st if NONCRITICAL_INNER <= st <= OUTER_MISPLACED
+                      else NONCRITICAL_INNER] += 1
                 rank_sum += v.rank
                 c = v.child
                 if c is not None:
@@ -728,49 +779,31 @@ class PadovanHeap:
                     break
                 v = nxt
         self._stat_tally = t
+        self._trees = trees
         self._rank_sum = rank_sum
         self._dangerous = dangerous
         return t
 
     def potentials(self):
-        """(phi0..phi6) from the tallies plus one root-list scan.
+        """(phi0..phi6) from the tallies, in O(1).
 
         phi0 trees; phi1 placed outer children; phi2 capped tree count;
         phi3 critical nonroots; phi4 rank surplus sum(r - c - n) over all
-        vertices; phi5 misplaced outer children; phi6 dangerous vertices.
-        The first read seeds the tallies from one walk of the forest, O(n);
-        later reads cost O(roots). The root-list scan trusts the links and
-        is not bounded, since the budget audit reads it after every event:
-        on a corrupted root list it may not return, so audit the state
-        (auditor.audit_state) before reading it.
+        vertices, c and n counting nonroots; phi5 misplaced outer children;
+        phi6 dangerous vertices. The first read seeds the tallies from one
+        walk of the forest, O(n), which broken links cannot make loop; later
+        reads follow no link.
         """
-        d = self._dummy
-        if d is None:
+        if self._dummy is None:
             raise StaleHandleError(CONSUMED)
         t = self._stat_tally
         if t is None:
             t = self._seed_tallies()
-        # root statuses in the order they occur: N, then P, C and M; any
-        # other value counts as misplaced
-        r_n = r_p = r_c = r_m = 0
-        v = d.child
-        if v is not None:
-            while v is not d:
-                st = v.status
-                if st == NONCRITICAL_INNER:
-                    r_n += 1
-                elif st == OUTER_PLACED:
-                    r_p += 1
-                elif st == CRITICAL_INNER:
-                    r_c += 1
-                else:
-                    r_m += 1
-                v = v.right
-        tau = r_n + r_p + r_c + r_m
-        phi3 = t[CRITICAL_INNER] - r_c
+        tau = self._trees
+        noncritical, critical, placed, misplaced = t  # by status, 0..3
         # plastic_cap(n) >= 3 for n >= 2, and one vertex makes one tree, so
         # up to three trees are never capped
-        return (tau, t[OUTER_PLACED] - r_p,
+        return (tau, placed,
                 tau if tau <= 3 else min(tau, plastic_cap(self._size)),
-                phi3, self._rank_sum - (t[NONCRITICAL_INNER] - r_n) - phi3,
-                t[OUTER_MISPLACED] - r_m, self._dangerous)
+                critical, self._rank_sum - noncritical - critical,
+                misplaced, self._dangerous)

@@ -1,9 +1,12 @@
 """Auditor: potential accounting, structural checks, fault injection,
 and the per-operation amortized budget."""
 
+import hashlib
 import io
+import operator
 import random
 import signal
+from collections import Counter
 
 import pytest
 
@@ -171,6 +174,145 @@ def test_a_late_first_read_matches_on_a_fuzz():
         assert_late_read_matches(events, rng.randrange(len(events)), 1)
 
 
+_status = operator.attrgetter("status")
+
+
+def scan_potentials(h):
+    """phi0..phi6 by the formula of a heap whose status tally counted every
+    live vertex: a raw count of all statuses, minus the root list's, which a
+    scan counts. The rank sum and the dangerous-vertex count are the heap's
+    own, kept as they were then, and verify_tallies checks them."""
+    raw = Counter(map(_status, h._live))
+    roots = h.roots()
+    root = Counter(map(_status, roots))
+    tau = len(roots)
+    critical = raw[CRITICAL_INNER] - root[CRITICAL_INNER]
+    noncritical = raw[NONCRITICAL_INNER] - root[NONCRITICAL_INNER]
+    return (tau, raw[OUTER_PLACED] - root[OUTER_PLACED],
+            tau if tau <= 3 else min(tau, plastic_cap(h.size)), critical,
+            h._rank_sum - noncritical - critical,
+            raw[OUTER_MISPLACED] - root[OUTER_MISPLACED], h._dangerous)
+
+
+def assert_matches_scan(events, k):
+    """A heap first read after event k reports, after that event and every
+    later one, the scan formula's potentials and a tree count equal to its
+    root count."""
+    h = PadovanHeap()
+
+    def after(idx, ev):
+        if idx >= k:
+            assert h.potentials() == scan_potentials(h), idx
+            assert h._trees == len(h.roots()), idx
+
+    replay(events, h, after=after)
+
+
+@pytest.mark.parametrize("mode, n, seed", FROZEN_TRACES)
+def test_kept_tallies_match_the_scan_formula(mode, n, seed):
+    assert_matches_scan(gen_workload(mode, n, seed), 0)
+
+
+def test_kept_tallies_match_the_scan_formula_on_a_fuzz():
+    # every other heap first read in mid-trace
+    for seed in range(60):
+        rng = random.Random(seed)
+        events = gen_workload(rng.choice(("random", "random", "competition")),
+                              rng.randrange(50, 800), seed=seed)
+        assert_matches_scan(events, rng.randrange(len(events)) if seed % 2
+                            else 0)
+
+
+def build8_read_with_roots(*keys):
+    """build8's forest, read, then the roots keys inserted after root 1."""
+    h, hs = build8()
+    h.potentials()
+    for k in keys:
+        hs[k] = h.insert(k)
+    return h, hs
+
+
+def assert_tallies_exact(h):
+    assert verify_tallies(h) == []
+    assert compute_potentials(h) == h.potentials()
+
+
+def test_a_cut_of_a_root_not_among_the_last_two_books_nothing():
+    # root 1 with its tree, then 20, 21 and 22: 1 and 20 are not among the
+    # last two roots, so their cuts walk the root list to its end
+    h, hs = build8_read_with_roots(20, 21, 22)
+    before = h.potentials()
+    h.decrease_key(hs[1], 0)
+    assert [v.key for v in h.roots()] == [20, 21, 22, 0]
+    assert h.potentials() == before
+    assert_tallies_exact(h)
+    h.delete(hs[20])
+    assert [v.key for v in h.roots()] == [21, 22, 0]
+    assert_tallies_exact(h)
+
+
+def test_a_cut_of_a_child_not_among_the_last_two_is_booked():
+    # 2 is the first of root 1's children 2, 3 and 5: its cut walks its
+    # list to root 1, takes its status off the tally and adds a tree
+    h, hs = build8_read_with_roots(20, 21)
+    phis = h.potentials()
+    h.decrease_key(hs[2], 0)
+    assert [v.key for v in h.roots()] == [1, 20, 21, 0]
+    assert h.potentials()[0] == phis[0] + 1
+    assert_tallies_exact(h)
+
+
+def test_a_cascade_status_write_on_a_root_is_not_booked():
+    # cutting 5, root 1's last child, drops 1's rank from 3 to 2; 1 is not
+    # among the last two roots, so its parent is out of reach and the
+    # cascade writes 1's status in place: critical, on a root
+    h, hs = build8_read_with_roots(20, 21)
+    assert hs[1].status == NONCRITICAL_INNER
+    h.decrease_key(hs[5], 0)
+    assert (hs[1].rank, hs[1].status) == (2, CRITICAL_INNER)
+    assert [v.key for v in h.roots()] == [1, 20, 21, 0]
+    assert_tallies_exact(h)
+
+
+def returns_within_3s(call, *args):
+    def expire(signum, frame):
+        raise TimeoutError("%s did not return" % call.__name__)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    try:
+        signal.alarm(3)
+        try:
+            return call(*args)
+        finally:
+            signal.alarm(0)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("read", [True, False], ids=["read", "unread"])
+def test_potentials_returns_on_a_root_list_cycle(read):
+    # a read heap follows no link; an unread one seeds its tallies in a
+    # bounded walk, which ends the root list at the broken end test
+    h = five_roots_with_a_root_list_cycle(read)
+    assert returns_within_3s(h.potentials) == (5, 0, 5, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("op", ["delete_min", "decrease_key"])
+def test_a_read_heap_returns_on_a_child_list_cycle(op):
+    # root 1's children are 2, 3, 5. delete_min promotes them, walking the
+    # list from 2, whose right links cycle 2, 3, 2 once 3's is aimed back
+    # at 2. decrease_key cuts 2, which is not among the last two, walking
+    # from 5, whose right link aimed at 2 passes every end test.
+    h, hs = build8_read_with_roots()
+    if op == "delete_min":
+        hs[3].right = hs[2]
+        assert returns_within_3s(h.delete_min) == 1
+    else:
+        hs[5].right = hs[2]
+        returns_within_3s(h.decrease_key, hs[2], 0)
+    assert returns_within_3s(audit_state, h) != []
+
+
 def test_a_replay_that_never_reads_keeps_no_tallies():
     for mode, n, seed in FROZEN_TRACES:
         h = PadovanHeap()
@@ -215,15 +357,14 @@ def test_a_first_read_on_a_corrupted_forest_returns_the_audit(status,
     hs[target].status = status
     assert h._stat_tally is None
     vs = audit_state(h)
-    assert sum(h._stat_tally) == 8  # an unknown status counted once, as N
+    # one tree, and seven nonroots, an unknown status counted as N
+    assert (h._trees, sum(h._stat_tally)) == (1, 7)
     if target == 1:
-        # statuses are not checked on the root list, but potentials()
-        # counts an unknown root status as misplaced: the walk's N shows
-        assert [(v.kind, v.info["phi"]) for v in vs] == [
-            ("tally_mismatch", 4), ("tally_mismatch", 5)]
+        # nothing reads a root's status, so an unknown one goes unreported
+        assert vs == []
     else:
         assert [v.kind for v in vs] == ["bad_status"]
-        assert verify_tallies(h) == []
+    assert verify_tallies(h) == []
     assert_matches_frozen(h)
 
 
@@ -247,16 +388,19 @@ def test_a_first_read_on_broken_links_returns():
                 if read is audit_state:
                     assert {v.kind for v in got} == {"broken_owner_link"}
                 else:  # the seeding walk stopped after size + 1 members
-                    assert sum(h._stat_tally) == 9
+                    assert h._trees + sum(h._stat_tally) == 9
     finally:
         signal.signal(signal.SIGALRM, old)
 
 
-def five_roots_with_a_root_list_cycle():
-    """Five inserts, then the rightmost root's right link aimed at the
-    second root: the root list never returns to the dummy head."""
+def five_roots_with_a_root_list_cycle(read=False):
+    """Five inserts, read when read is true, then the rightmost root's right
+    link aimed at the second root: the root list never returns to the dummy
+    head."""
     h = PadovanHeap()
     hs = [h.insert(k) for k in range(1, 6)]
+    if read:
+        h.potentials()
     hs[-1].right = hs[1]
     return h
 
@@ -269,7 +413,7 @@ def five_roots_with_a_root_list_cycle():
 ], ids=["roots", "check_root_safety", "iter_vertices", "write_dot"])
 def test_root_list_walks_return_on_a_root_list_cycle(call, want):
     """roots() stops after size members, so the walks built on it return;
-    potentials() trusts the root list and is not called here."""
+    potentials() has a test of its own."""
     def expire(signum, frame):
         raise TimeoutError("a root-list walk did not return")
 
@@ -495,7 +639,8 @@ def test_a_first_read_on_a_link_into_a_freed_vertex_returns(owner, walked):
     hs[owner].child = f
     assert h._stat_tally is None
     h.potentials()
-    assert sum(h._stat_tally) == walked  # the freed vertex among them
+    # one tree, and the nonroots, the freed vertex among them
+    assert h._trees + sum(h._stat_tally) == walked
     assert [v.render() for v in audit_state(h)] == [
         Violation("broken_owner_link", owner_key=owner,
                   child_key=20).render()]
@@ -796,6 +941,29 @@ def test_audit_amortized_insert_charge_is_flat():
     assert max(charge for _, _, _, _, charge, _ in stats) <= 3
 
 
+# SHA-256 of the newline-joined repr() of audit_amortized's rows on each of
+# FROZEN_TRACES: every event's (op, steps, dW, n, charge, bound)
+BUDGET_ROW_DIGESTS = {
+    ("random", 20000, 1):
+    "2b4edf09099644cae0676dedf42dd5b83ae9fd03868ad9b0699861c6e25f397f",
+    ("random", 20000, 2):
+    "3c4efbd28c6dcb70fb38718a27123f591ed90cc7f7bd7a66a3e8fc3e082b370c",
+    ("competition", 5000, 0):
+    "9dbe6fa8c0c14abd763ba7a8438612630faba52a95b6970e955a84d3a99457f9",
+    ("ascending", 5000, 0):
+    "99b29dde1605a0c72f9bd9f00f203bcd223880e469b960405b862c655afc7ef7",
+}
+
+
+@pytest.mark.parametrize("mode, n, seed", FROZEN_TRACES)
+def test_budget_audit_charges_are_pinned(mode, n, seed):
+    rows = []
+    assert audit_amortized(gen_workload(mode, n, seed), stats_out=rows) == []
+    text = "\n".join(map(repr, rows))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == BUDGET_ROW_DIGESTS[mode, n, seed])
+
+
 class TwoSnapshotBudgetAudit:
     """The budget audit with two potential reads per event, a snapshot
     before each event and one after it: the reference that BudgetAudit,
@@ -1088,7 +1256,6 @@ def frozen_audit(heap, table=None):
 
     short = {}
     nonroot = [0, 0, 0, 0]
-    root = [0, 0, 0, 0]
     rank_sum = 0
     dangerous = 0
     for v in seen.values():
@@ -1096,12 +1263,10 @@ def frozen_audit(heap, table=None):
         r = v.rank
         rank_sum += r
         is_root = vid in root_ids
-        st = v.status
-        if not CRITICAL_INNER <= st <= OUTER_MISPLACED:
-            st = NONCRITICAL_INNER
-        if is_root:
-            root[st] += 1
-        else:
+        if not is_root:
+            st = v.status
+            if not CRITICAL_INNER <= st <= OUTER_MISPLACED:
+                st = NONCRITICAL_INNER
             nonroot[st] += 1
         kids = kids_of.get(vid, ())
         if not kids and r == 0:
@@ -1172,7 +1337,7 @@ def frozen_audit(heap, table=None):
                for i in range(7) if phis[i] != cached[i]]
     if not tallies:
         fields = [("_rank_sum", rank_sum, heap._rank_sum)] + [
-            ("_stat_tally[%d]" % i, nonroot[i] + root[i], heap._stat_tally[i])
+            ("_stat_tally[%d]" % i, nonroot[i], heap._stat_tally[i])
             for i in range(4)]
         tallies = [Violation("tally_mismatch", field=f, walked=w, cached=c)
                    for f, w, c in fields if w != c]

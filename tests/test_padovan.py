@@ -2,12 +2,17 @@
 differential runs against the oracle with the auditor riding along."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from padovanheap import (
     FibonacciHeap, PadovanHeap, Oracle, plastic_cap, STATUS_NAMES)
+import padovanheap
 from padovanheap.node_store import (
     NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
 from padovanheap import oracle
@@ -16,7 +21,7 @@ from padovanheap.auditor import audit_state, check_root_safety, children
 from padovanheap.trace import iter_workload, replay
 
 from list_model import (
-    LAST, detach, is_live, probe, push_back, push_front)
+    LAST, detach, is_live, members, probe, push_back, push_front)
 
 
 def shape(h):
@@ -573,6 +578,30 @@ def test_rank_stays_logarithmic():
     assert h.max_rank_seen <= plastic_cap(4000) + 3
 
 
+@pytest.mark.parametrize("n", [0, 0.5, -3])
+def test_plastic_cap_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        plastic_cap(n)
+
+
+def test_plastic_cap_rejects_n_below_one_under_optimize():
+    """-O strips asserts; plastic_cap(0.5) must not return -1 there, nor
+    plastic_cap(0) raise a bare AssertionError."""
+    code = ("from padovanheap import plastic_cap\n"
+            "for n in (0, 0.5):\n"
+            "    try:\n"
+            "        print(plastic_cap(n))\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n")
+    pkg_parent = Path(padovanheap.__file__).resolve().parent.parent
+    r = subprocess.run([sys.executable, "-O", "-c", code],
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(pkg_parent)})
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ("plastic_cap needs n >= 1, got 0\n"
+                        "plastic_cap needs n >= 1, got 0.5\n")
+
+
 # --------------------------- inline surgery against the two-step list model
 
 class TwoStepHeap(PadovanHeap):
@@ -586,11 +615,15 @@ class TwoStepHeap(PadovanHeap):
     writes, so this heap counts by Arena's table by construction. The
     reference that the heap's inline surgery is checked against. Its
     tallies are read at construction, so it keeps them from the start and
-    its bookings below need no test."""
+    its bookings below need no test. It tells a root by a scan of roots(),
+    not by the heap's walk to the end of the vertex's list."""
 
     def __init__(self):
         super().__init__()
         self.potentials()
+
+    def _is_root(self, v):
+        return any(r is v for r in self.roots())
 
     def _check_handle(self, v):
         self._require_alive()
@@ -606,7 +639,7 @@ class TwoStepHeap(PadovanHeap):
         v = self.arena.alloc(key)
         self._live.add(v)
         push_back(self.arena, d, v)
-        self._stat_tally[NONCRITICAL_INNER] += 1
+        self._trees += 1
         self._size += 1
         return v
 
@@ -636,8 +669,11 @@ class TwoStepHeap(PadovanHeap):
         a = self.arena
         d = self._dummy
         detach(a, m, d)
+        kids = members(m, bound=self._size)
         a.concat(d, m)
-        self._stat_tally[m.status] -= 1
+        for w in kids:
+            self._stat_tally[w.status] -= 1
+        self._trees += len(kids) - 1
         self._rank_sum -= m.rank
         self._size -= 1
         self._live.remove(m)
@@ -649,12 +685,17 @@ class TwoStepHeap(PadovanHeap):
         dang = self._is_dangerous
         code, p = probe(v)
         if code is None:
+            if not self._is_root(v):
+                self._stat_tally[v.status] -= 1
+                self._trees += 1
             detach(a, v)
             push_back(a, d, v)
             return
         if p.right is p:
             return
         p_pre = dang(p)
+        self._stat_tally[v.status] -= 1
+        self._trees += 1
         detach(a, v, p)
         push_back(a, d, v)
         while True:
@@ -673,11 +714,14 @@ class TwoStepHeap(PadovanHeap):
                 pass
             elif code is None:
                 st = p.status
-                if st == NONCRITICAL_INNER:
-                    self._set_status(
-                        p, CRITICAL_INNER if delta == 1 else OUTER_MISPLACED)
-                elif st == CRITICAL_INNER:
-                    self._set_status(p, OUTER_MISPLACED)
+                if st == NONCRITICAL_INNER or st == CRITICAL_INNER:
+                    st = (CRITICAL_INNER
+                          if st == NONCRITICAL_INNER and delta == 1
+                          else OUTER_MISPLACED)
+                    if self._is_root(p):
+                        p.status = st
+                    else:
+                        self._set_status(p, st)
             elif g.right is g:
                 pass
             else:
@@ -729,7 +773,6 @@ class TwoStepHeap(PadovanHeap):
                         loser = occ
                     detach(a, loser, d)
                     push_back(a, w, loser)
-                    t[loser.status] -= 1
                     loser.status = NONCRITICAL_INNER
                     joins += 1
                     r += 1
@@ -748,7 +791,6 @@ class TwoStepHeap(PadovanHeap):
                     winner, loser = x, y
                 detach(a, loser, d)
                 push_front(a, winner, loser)
-                t[loser.status] -= 1
                 loser.status = OUTER_PLACED
                 links += 1
                 x = winner.left
@@ -756,6 +798,7 @@ class TwoStepHeap(PadovanHeap):
             a.counters.comparisons += joins + links
             t[NONCRITICAL_INNER] += joins
             t[OUTER_PLACED] += links
+            self._trees -= joins + links
             self._rank_sum += joins
             if top > self.max_rank_seen:
                 self.max_rank_seen = top
