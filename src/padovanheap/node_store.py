@@ -95,17 +95,18 @@ class StepCounters:
 
 
 class Arena:
-    """Allocator and step counters, with the two list moves that PadovanHeap
-    makes as calls: move_front to place a child, and concat to meld.
+    """Allocator and step counters, with the one list move that PadovanHeap
+    makes as a call: concat, to meld.
 
     Every move on the three-link lists is priced as its plain two-step form:
     unlink the vertex into a self-linked singleton (1 write for a sole
     member, else 2, plus 2 for the reset), then insert it at one end of a
     list (2 writes into an empty list, else 4). Skipped writes count too.
-    PadovanHeap writes its hot moves out inline and counts each by its row
-    of this table: insert is alloc_back, find_min's joins and links are
-    join_back and join_front on the root list, _cut's move onto the root
-    list is join_back, and _remove_root is detach_promote, then free.
+    PadovanHeap writes its other moves out in the operation that makes them
+    and counts each by its row of this table: insert is alloc_back,
+    find_min's joins and links are join_back and join_front on the root
+    list, _cut's move onto the root list is join_back, _place is
+    move_front, and _remove_root is detach_promote, then free.
 
         row             two-step form           writes
         alloc           --                      2
@@ -140,28 +141,6 @@ class Arena:
         v.left = None
         v.right = None
         v.child = None
-
-    def move_front(self, owner, v):
-        """Move member v of owner's list to its front, counting the writes of
-        the two-step form: 5 for a sole member, else 8, also for a leftmost
-        v, which stays where it is."""
-        first = owner.child
-        if v is first:
-            self.counters.link_writes += 5 if v.left is v else 8
-            return
-        prev = v.left
-        nxt = v.right
-        if nxt is owner:  # rightmost
-            prev.right = owner
-            first.left = prev
-        else:
-            prev.right = nxt
-            nxt.left = prev
-        v.left = first.left
-        v.right = first
-        first.left = v
-        owner.child = v
-        self.counters.link_writes += 8
 
     def concat(self, target, donor):
         """Append donor's members (in order) at the right end of target's list.

@@ -53,30 +53,32 @@ each walks right to the end of the vertex's list, at most size members,
 to decide, and a root removal walks the children it promotes.
 
 The dangerous-vertex count, once kept, takes one probe of a vertex before
-and one after each compound change to it: a cut with the cascade step that
-follows, or make_safe's demote-and-recompute loop. The danger test reads
-only the vertex's rank, its rightmost child and that child's rho, so the
-deltas of probes in between would telescope, and they are not made. A rank
-change also moves the parent's test when the vertex is the rightmost child:
-the cascade probes that parent first and carries the probe up as the
-parent's own before-probe, and where the cascade stops, the parent's test
-is unchanged. delete_min removes the root find_min would return: a lone
-safe root it takes directly (the state a find_min leaves), any other root
-list it hands to find_min. Either way the root is safe, so it leaves
-without a probe.
+and one verdict after each compound change to it: a cut with the cascade
+step that follows, or make_safe's demote-and-recompute loop. The verdict is
+_recompute_rank's answer, since the rules it applies last decide the
+vertex's danger test: rule 1 with a positive rank leaves it dangerous, rule
+3 and rank 0 safe. The danger test reads only the vertex's rank, its
+rightmost child and that child's rho, so the deltas of probes in between
+would telescope, and they are not made. A rank change also moves the
+parent's test when the vertex is the rightmost child: the cascade probes
+that parent first and carries the probe up as the parent's own
+before-probe, and where the cascade stops, the parent's test is unchanged.
+delete_min removes the root that find_min returns, a safe root, so it
+leaves without a probe; after a find_min that root is alone and safe, and
+the second find_min returns it at no step.
 
 The hot list moves and probes are written out in the operation that makes
 them, so that each op's common case runs in one Python frame: insert's
 append to the root list, find_min's joins and links, _cut's position probes
-and move onto the root list, _remove_root's unlink, promotion and free, and
-the liveness check of key_of, decrease_key and delete. Each move counts the
-link writes of its row in Arena's table: insert is alloc_back, a join is
-join_back, a link is join_front, the cut's move is join_back, and a root
-removal is detach_promote. Placing a child (Arena.move_front), the rank
-rules and make_safe stay calls, and _cut's danger probes call
-_is_dangerous. find_min and delete_min keep the danger test written out,
-since they run it on every root and the call measured slower (see
-find_min).
+and move onto the root list, _place's move of a child to the front,
+_remove_root's unlink, promotion and free, and the liveness check of
+key_of, decrease_key and delete. Each move counts the link writes of its
+row in Arena's table: insert is alloc_back, a join is join_back, a link is
+join_front, the cut's move is join_back, a placing is move_front, and a
+root removal is detach_promote. The rank rules, _place and make_safe stay
+calls, and _cut's before-probes call _is_dangerous. find_min keeps the
+danger test written out, since it runs it on every root and the call
+measured slower (see find_min).
 """
 
 import math
@@ -207,20 +209,42 @@ class PadovanHeap:
     def _place(self, owner, w):
         """Move child w of owner to the front as an outer placed child.
 
-        Only owner's danger test reads the moved child; the caller settles it.
+        The move_front row of Arena's table: 5 writes for a sole member, else
+        8, also for a leftmost w, which stays where it is. Only owner's
+        danger test reads the moved child; the caller settles it.
         """
-        a = self.arena
-        a.move_front(owner, w)
+        first = owner.child
+        if w is first:
+            writes = 5 if w.left is w else 8
+        else:
+            prev = w.left
+            nxt = w.right
+            if nxt is owner:  # rightmost
+                prev.right = owner
+                first.left = prev
+            else:
+                prev.right = nxt
+                nxt.left = prev
+            w.left = first.left
+            w.right = first
+            first.left = w
+            owner.child = w
+            writes = 8
+        counters = self.arena.counters
+        counters.link_writes += writes
+        counters.placings += 1
         self._set_status(w, OUTER_PLACED)
-        a.counters.placings += 1
 
     # -- rank machinery ------------------------------------------------
 
     def _recompute_rank(self, p):
-        """Apply the rank rules to p, with rule 2 demotions; return its rank.
+        """Apply the rank rules to p, with rule 2 demotions; return whether
+        they left p dangerous.
 
-        The caller settles the danger tally of p, and of p's parent when p is
-        its rightmost child.
+        Only rule 1 with a positive rank does: p's rank then equals rho(w0)
+        of its inner rightmost child, while rule 3 and rank 0 leave p safe.
+        The caller settles the danger tally of p with this answer, and of
+        p's parent, when p is its rightmost child, with a probe.
         """
         counters = self.arena.counters
         while True:
@@ -236,6 +260,7 @@ class PadovanHeap:
                 # no inner children: rho(w0) = rho(w1) = -1, rule 3
                 counters.rank_steps += 1
                 new_rank = 0
+                danger = False
                 break
             st0 = w0.status
             rho0 = w0.rank + 1 if st0 == CRITICAL_INNER else w0.rank
@@ -257,22 +282,22 @@ class PadovanHeap:
                 continue
             counters.rank_steps += 1
             new_rank = rho0 if gap else rho0 + 1  # rule 1 : rule 3
+            danger = gap and rho0 > 0
             break
         if self._stat_tally is not None:
             self._rank_sum += new_rank - p.rank
         p.rank = new_rank
         if new_rank > self.max_rank_seen:
             self.max_rank_seen = new_rank
-        return new_rank
+        return danger
 
     def _make_safe(self, v):
         # v is a dangerous root. Demotions and rank updates move only v's own
         # danger test (a root has no parent to read its rank), so the tally
-        # takes one decrement, when the loop leaves v safe.
+        # takes one decrement, when the rank rules report v safe.
         while True:
             self._place(v, v.child.left)
-            self._recompute_rank(v)
-            if not self._is_dangerous(v):
+            if not self._recompute_rank(v):
                 break
         if self._stat_tally is not None:
             self._dangerous -= 1
@@ -283,10 +308,10 @@ class PadovanHeap:
 
         A vertex's danger test reads only its rank, its rightmost child and
         that child's rho, so the tally of each vertex the cascade changes is
-        settled by one probe before its first change and one after its last;
-        the deltas of any probes in between would telescope. When v leaves
-        a child list, its status leaves the status tally and v joins the
-        tree count.
+        settled by one probe before its first change and, after its last,
+        by the verdict _recompute_rank returns; the deltas of any probes in
+        between would telescope. When v leaves a child list, its status
+        leaves the status tally and v joins the tree count.
         """
         d = self._dummy
         t = self._stat_tally
@@ -357,15 +382,14 @@ class PadovanHeap:
                 g = nxt if nxt.left is not p else nxt.right
                 if dangerous:
                     g_pre = dangerous(g)
-            r = self._recompute_rank(p)
-            delta = old - r
+            p_post = self._recompute_rank(p)
+            delta = old - p.rank
             assert delta >= 0, "rank increased during cascade"
-            # p's own test is settled: what follows moves p or changes its
-            # status, which only its parent's test reads
-            if dangerous:
-                p_post = dangerous(p)
-                if p_post != p_pre:
-                    self._dangerous += 1 if p_post else -1
+            # p's own test is settled, and the rules report its outcome: what
+            # follows moves p or changes its status, which only its parent's
+            # test reads
+            if dangerous and p_post != p_pre:
+                self._dangerous += 1 if p_post else -1
             stop = True
             if delta == 0:
                 pass
@@ -470,13 +494,14 @@ class PadovanHeap:
         return self
 
     def find_min(self):
-        # The danger test is written out here, twice, and once in delete_min,
-        # rather than called as _is_dangerous: phase 1 runs it on every root,
-        # and the lone-root tests on almost every call. Calling it at all
-        # seven sites (these three and _cut's four) made padovan replay 9%
-        # slower by median on perfbench's competition workload, winning 1 of
-        # 6 interleaved pairs, and 2% slower on random, winning 2 of 6
-        # (shared 2-vCPU host, CPython 3.11). _cut calls it.
+        # The danger test is written out here, twice, rather than called as
+        # _is_dangerous: phase 1 runs it on every root, and the lone-root
+        # test on almost every call, delete_min's included. Calling it at
+        # seven sites (these two, a third copy that delete_min then kept,
+        # and four probes in _cut, of which the before-probes remain) made
+        # padovan replay 9% slower by median on perfbench's competition
+        # workload, winning 1 of 6 interleaved pairs, and 2% slower on
+        # random, winning 2 of 6 (shared 2-vCPU host, CPython 3.11).
         d = self._dummy
         if d is None:
             raise StaleHandleError(CONSUMED)
@@ -626,24 +651,11 @@ class PadovanHeap:
         return x
 
     def delete_min(self):
-        d = self._dummy
-        if d is None:
+        if self._dummy is None:
             raise StaleHandleError(CONSUMED)
         if self._size == 0:
             raise EmptyHeapError("delete_min on empty heap")
-        # a lone safe root is the minimum, as find_min would return it
-        m = d.child
-        if m.left is not m:
-            m = self.find_min()
-        else:
-            r = m.rank
-            c = m.child
-            if r and c is not None:  # the danger test, inlined
-                w0 = c.left
-                st = w0.status
-                if (st == NONCRITICAL_INNER and r <= w0.rank
-                        or st == CRITICAL_INNER and r <= w0.rank + 1):
-                    m = self.find_min()
+        m = self.find_min()
         key = m.key
         self._remove_root(m)  # m is a safe root: no tally moves
         return key

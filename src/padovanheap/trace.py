@@ -279,7 +279,7 @@ def replay(events, heap, before=None, after=None, collect_output=True):
     learns which id died and can clear its slot. That call sequence is part
     of the contract: benchmark stand-ins and the frozen step counts rely on
     it. After the explicit find_min the padovan heap has a single safe
-    root, which delete_min removes without calling find_min again.
+    root; delete_min's own find_min returns it at no step.
 
     Bad ids in hand-built events fail loudly: an id below 1 raises KeyError
     (a list would read it from the end), an id past the last insert

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from padovanheap.node_store import (
     Arena, Node, NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED,
     OUTER_MISPLACED, STATUS_NAMES)
+from padovanheap.padovan import PadovanHeap
 
 from list_model import (
     LAST, SECOND_LAST, among_last_two, detach, is_leftmost,
@@ -191,8 +192,9 @@ def _subtree(model, v):
                 max_size=40))
 def test_surgery_mirrors_a_plain_list(ops):
     """Random moves on a small forest against plain Python lists: the
-    model's alloc + push_back, Arena's move_front and concat, and a removal
-    made as the model's detach, then concat of the children and free.
+    model's alloc + push_back, PadovanHeap._place (the move_front row of
+    Arena's table), Arena's concat, and a removal made as the model's
+    detach, then concat of the children and free.
 
     Every vertex owns a list, so moves go between roots, children and
     grandchildren. Each move's writes are priced by the model's two-step
@@ -210,6 +212,7 @@ def test_surgery_mirrors_a_plain_list(ops):
         return 3 if size == 0 else 5
 
     a = Arena()
+    h = PadovanHeap(a)  # places on a's lists; its own forest stays empty
     p = a.alloc("p")
     model = {p: []}   # owner -> its members, leftmost first
     where = {}        # member -> its owner
@@ -251,7 +254,10 @@ def test_surgery_mirrors_a_plain_list(ops):
             k = lst.index(v)
             if op == "mf":
                 want = unlink(len(lst)) + insert(len(lst) - 1)
-                a.move_front(o, v)
+                placings = a.counters.placings
+                h._place(o, v)
+                assert v.status == OUTER_PLACED
+                assert a.counters.placings == placings + 1
                 lst.insert(0, lst.pop(k))
             else:
                 kids = model.pop(v)
@@ -286,25 +292,35 @@ def _links(nodes):
 
 def test_move_front_equals_detach_then_push_front():
     """Every position in lists of 1 to 5 members, each member with a child:
-    move_front leaves the same links and counts the same writes as detach +
-    push_front, 5 for a sole member, which stays in place, and 8 otherwise."""
+    PadovanHeap._place, the move_front row of Arena's table, leaves the same
+    links and counts the same writes as detach + push_front, 5 for a sole
+    member, which stays in place, and 8 otherwise. It marks the moved member
+    placed, counts one placing and no other step, and leaves every other
+    status as it was."""
     for n in range(1, 6):
         for i in range(n):
             results = []
             for form in ("fused", "two calls"):
                 a = Arena()
+                h = PadovanHeap(a)
                 d = a.alloc("d")
                 vs = make_list(a, d, range(n))
                 kids = [make_list(a, v, ["k%d" % v.key])[0] for v in vs]
+                for j, w in enumerate(vs):
+                    w.status = j % 2  # inner: noncritical or critical
                 v = vs[i]
-                base = a.counters.link_writes
+                base = a.counters.snapshot()
                 if form == "fused":
-                    a.move_front(d, v)
+                    h._place(d, v)
+                    assert [w.status for w in vs] == [
+                        OUTER_PLACED if j == i else j % 2 for j in range(n)]
                 else:
                     detach(a, v, d)
                     push_front(a, d, v)
                 assert keys(d) == [i] + [k for k in range(n) if k != i]
-                results.append((a.counters.link_writes - base,
-                                _links([d] + vs + kids)))
+                writes, *others = (
+                    y - x for x, y in zip(base, a.counters.snapshot()))
+                assert others == ([0, 0, 1] if form == "fused" else [0, 0, 0])
+                results.append((writes, _links([d] + vs + kids)))
             assert results[0] == results[1], (n, i)
-            assert results[0][0] == (5 if n == 1 else 8)
+            assert writes == (5 if n == 1 else 8)

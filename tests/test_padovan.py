@@ -1,6 +1,7 @@
 """Padovan heap: hand-built scenarios with frozen outcomes, then randomized
 differential runs against the oracle with the auditor riding along."""
 
+import collections
 import itertools
 import os
 import random
@@ -9,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from padovanheap import (
     FibonacciHeap, PadovanHeap, Oracle, plastic_cap, STATUS_NAMES)
@@ -20,6 +22,7 @@ from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleErro
 from padovanheap.auditor import audit_state, check_root_safety, children
 from padovanheap.trace import iter_workload, replay
 
+from fuzz_traces import traces
 from list_model import (
     LAST, detach, is_live, members, probe, push_back, push_front)
 
@@ -607,12 +610,12 @@ def test_plastic_cap_rejects_n_below_one_under_optimize():
 class TwoStepHeap(PadovanHeap):
     """Every list move made as calls, in list_model's two-step form:
     insert through Arena.alloc + push_back; find_min's joins and links
-    through detach + push_back and detach + push_front; delete_min always
-    through find_min; _cut through the model's probe, _is_dangerous and
-    detach + push_back; placing a child through detach + push_front;
-    _remove_root through detach, Arena.concat and Arena.free; and the
-    handle checks through the model's is_live. Each call counts its own
-    writes, so this heap counts by Arena's table by construction. The
+    through detach + push_back and detach + push_front; delete_min, the
+    heap's own, through this find_min; _cut through the model's probe,
+    _is_dangerous and detach + push_back; placing a child through detach +
+    push_front; _remove_root through detach, Arena.concat and Arena.free;
+    and the handle checks through the model's is_live. Each call counts its
+    own writes, so this heap counts by Arena's table by construction. The
     reference that the heap's inline surgery is checked against. Its
     tallies are read at construction, so it keeps them from the start and
     its bookings below need no test. It tells a root by a scan of roots(),
@@ -704,7 +707,8 @@ class TwoStepHeap(PadovanHeap):
             watch = code == LAST and g.right is not g
             if watch:
                 g_pre = dang(g)
-            delta = old - self._recompute_rank(p)
+            self._recompute_rank(p)
+            delta = old - p.rank
             assert delta >= 0, "rank increased during cascade"
             p_post = dang(p)
             if p_post != p_pre:
@@ -804,15 +808,6 @@ class TwoStepHeap(PadovanHeap):
                 self.max_rank_seen = top
         return x
 
-    def delete_min(self):
-        self._require_alive()
-        if self._size == 0:
-            raise EmptyHeapError("delete_min on empty heap")
-        m = self.find_min()
-        key = m.key
-        self._remove_root(m)
-        return key
-
 
 def state_digest(h):
     """Hash of the step counters, potentials, peak rank, live-node count and
@@ -875,3 +870,129 @@ def test_step_counts_are_frozen(mode, n, seed, steps, max_rank, phi):
     assert h.arena.counters.snapshot() == steps
     assert h.max_rank_seen == max_rank
     assert h.potentials() == phi
+
+
+class VerdictCheckedHeap(PadovanHeap):
+    """A PadovanHeap whose rank rules must report, after every call, the
+    danger that _is_dangerous reads from the vertex they left."""
+
+    def __init__(self, read):
+        super().__init__()
+        self.verdicts = self.make_safes = 0
+        if read:
+            self.potentials()
+
+    def _recompute_rank(self, p):
+        verdict = super()._recompute_rank(p)
+        assert verdict is self._is_dangerous(p), (p, verdict)
+        self.verdicts += 1
+        return verdict
+
+    def _make_safe(self, v):
+        self.make_safes += 1
+        super()._make_safe(v)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["lean", "read"])
+@pytest.mark.parametrize("mode, n, seed", [
+    ("random", 20000, 1), ("random", 20000, 2),
+    ("competition", 5000, 0), ("ascending", 5000, 0)])
+def test_rank_rules_report_the_danger_they_leave(mode, n, seed, read):
+    events = list(iter_workload(mode, n, seed))
+    h = VerdictCheckedHeap(read)
+    assert replay(events, h) == replay(events, PadovanHeap())
+    if mode == "random":  # the cascade and make_safe both ran the rules
+        assert h.verdicts > h.make_safes > 0
+
+
+def test_rank_rules_report_rank_zero_safe_under_a_forced_gap():
+    """A misplaced left neighbor forces the gap, so rule 1 applies to a
+    noncritical rank-0 rightmost child: the rank is 0, which is safe."""
+    h = PadovanHeap()
+    a = h.arena
+    p = a.alloc("p")
+    u, w0 = a.alloc("u"), a.alloc("w0")
+    for w in (u, w0):
+        push_back(a, p, w)
+    u.rank, u.status = 1, OUTER_MISPLACED
+    p.rank = 2
+    assert h._recompute_rank(p) is False
+    assert p.rank == 0 and not h._is_dangerous(p)
+    w0.rank = 1  # the same gap over a rank-1 child leaves rank 1, dangerous
+    assert h._recompute_rank(p) is True
+    assert p.rank == 1 and h._is_dangerous(p)
+
+
+class BothWaysPops:
+    """Two PadovanHeaps in lockstep under replay(). A `d` pops `direct` with
+    delete_min() alone and `via` with find_min(), then delete_min(); both
+    must return the same key and leave equal state_digests. kinds counts
+    the root lists the direct pops met."""
+
+    def __init__(self):
+        self.direct = PadovanHeap()
+        self.via = PadovanHeap()
+        self.twin = {}  # via's handle -> direct's
+        self.op = None
+        self.kinds = collections.Counter()
+
+    def before(self, i, ev):
+        self.op = ev[0]
+
+    def insert(self, key):
+        v = self.via.insert(key)
+        self.twin[v] = self.direct.insert(key)
+        return v
+
+    def find_min(self):
+        v = self.via.find_min()
+        if self.op == "f":
+            assert self.direct.find_min() is self.twin[v]
+        return v
+
+    def key_of(self, v):
+        return self.via.key_of(v)
+
+    def delete_min(self):
+        d = self.direct
+        if len(d.roots()) > 1:
+            self.kinds["several roots"] += 1
+        else:
+            self.kinds["lone dangerous root" if check_root_safety(d)
+                       else "lone safe root"] += 1
+        key = d.delete_min()
+        assert self.via.delete_min() == key
+        assert state_digest(d) == state_digest(self.via)
+        return key
+
+    def decrease_key(self, v, key):
+        self.via.decrease_key(v, key)
+        self.direct.decrease_key(self.twin[v], key)
+
+    def delete(self, v):
+        self.via.delete(v)
+        self.direct.delete(self.twin.pop(v))
+
+
+def pop_both_ways(events):
+    pair = BothWaysPops()
+    assert replay(events, pair, before=pair.before) == replay(
+        events, PadovanHeap())
+    return pair.kinds
+
+
+def test_delete_min_pops_what_find_min_then_delete_min_pops():
+    kinds = collections.Counter()
+    for seed in range(1, 5):
+        kinds += pop_both_ways(list(iter_workload("random", 3000, seed)))
+    # a rank-2 root loses its rank-0 child: rule 1 leaves it dangerous
+    kinds += pop_both_ways([("i", 1), ("i", 2), ("i", 3), ("i", 4), ("f",),
+                            ("x", 2), ("d",)])
+    assert set(kinds) == {"several roots", "lone safe root",
+                          "lone dangerous root"}, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces())
+def test_delete_min_pops_alike_on_fuzzed_traces(events):
+    pop_both_ways(events)
