@@ -9,7 +9,7 @@ from .errors import (EmptyHeapError, HeapError, KeyIncreaseError,
                      StaleHandleError)
 from .fibonacci import FibNode, FibonacciHeap
 from .node_store import (Arena, CRITICAL_INNER, NONCRITICAL_INNER, Node,
-                         OUTER_MISPLACED, OUTER_PLACED, STATUS_NAMES,
+                         OUTER_MISPLACED, OUTER_PLACED, ROOT, STATUS_NAMES,
                          StepCounters)
 from .oracle import Oracle
 from .padovan import PLASTIC, PadovanHeap, plastic_cap
@@ -31,6 +31,7 @@ __all__ = [
     "Oracle",
     "PLASTIC",
     "PadovanHeap",
+    "ROOT",
     "STATUS_NAMES",
     "StaleHandleError",
     "StepCounters",

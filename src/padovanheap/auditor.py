@@ -136,7 +136,7 @@ def size_bound_table(max_rank):
 
 
 _TALLY_FIELDS = ("_rank_sum",) + tuple("_stat_tally[%d]" % i
-                                       for i in range(4))
+                                       for i in range(5))
 _size_bounds = size_bound_table(2)
 _STATUSES = frozenset((NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED,
                        OUTER_MISPLACED))
@@ -245,8 +245,10 @@ def _audit(heap):
     grow = []      # (owner, a, b): an active child a or b has children
     big = []       # owners of rank 3 or more, the ranks P(r) > 1 bounds
     # The nonroot status tallies but noncritical inner, which are the rest:
-    # an unknown status counts as noncritical inner, as the heap's seeding
-    # walk counts it. Root statuses are read by nothing.
+    # an unknown status, ROOT included, counts as noncritical inner, as the
+    # heap's seeding walk counts it. The walk reads no root status: the
+    # tree count tau stands for the ROOT tally, since in a read heap every
+    # root holds ROOT, and an unread heap's root statuses mean nothing.
     critical = placed = misplaced = 0
     rank_sum = dangerous = tau = 0
     # The root list pushes its owners first, so they lie at the bottom of
@@ -508,7 +510,7 @@ def _audit(heap):
             Violation("tally_mismatch", phi=i, walked=phis[i],
                       cached=cached[i])
             for i in range(7) if phis[i] != cached[i]], phis
-    walked = [rank_sum, noncritical, critical, placed, misplaced]
+    walked = [rank_sum, noncritical, critical, placed, misplaced, tau]
     fields = [heap._rank_sum] + heap._stat_tally
     if walked == fields:
         return structure, undersized, [], phis

@@ -16,6 +16,11 @@ positions, all without a parent pointer:
 The end tests are sound because an owner's own `left` link lives in a
 disjoint list (or is the owner itself, for the self-linked dummy head).
 
+A vertex's status is one of the four child statuses (inner noncritical or
+critical, outer placed or misplaced) or ROOT. A PadovanHeap marks its roots
+ROOT only once its potentials are read; before that a root's status means
+nothing.
+
 The arena allocates and frees vertices and owns the shared step counters
 that every heap built on it reports into. It keeps no liveness state: each
 PadovanHeap keeps the set of its own live vertices, so a handle of another
@@ -26,13 +31,14 @@ NONCRITICAL_INNER = 0
 CRITICAL_INNER = 1
 OUTER_PLACED = 2
 OUTER_MISPLACED = 3
+ROOT = 4
 
-STATUS_NAMES = ("N", "C", "P", "M")
+STATUS_NAMES = ("N", "C", "P", "M", "R")
 _STATUS_LABELS = dict(enumerate(STATUS_NAMES))
 
 
 def status_label(status):
-    """The status's name; one outside 0..3 shows as "?" and its value."""
+    """The status's name; one outside 0..4 shows as "?" and its value."""
     return _STATUS_LABELS.get(status) or "?%r" % (status,)
 
 

@@ -37,20 +37,17 @@ vertex that is not among the last two children of its list (where the
 parent is unreachable in O(1); the deferred rank decrease is budgeted by
 the potential analysis, and the status is adjusted in place instead).
 
-The potential ingredients (status tallies over the nonroot vertices, the
-tree count, the rank sum, and the dangerous-vertex count) exist only for
-the analysis, so a heap keeps them only from its first potentials() read
-on. Until then they are None, and every operation skips their bookkeeping
-and _cut's danger probes. The first read seeds them from one walk of the
-forest, O(n); from then on every operation keeps them exact as it goes,
-and each read costs O(1). Root statuses carry no meaning and may hold
-stale or scribbled values, so the status tally counts nonroots only: a
-vertex's status leaves it when the vertex becomes a root and enters it
-when the vertex becomes a child. Two moves cannot tell in O(1) whether a
-vertex is a root: a cut whose parent is out of reach, and the in-place
-status write of a cascade that stops at such a vertex. In a read heap
-each walks right to the end of the vertex's list, at most size members,
-to decide, and a root removal walks the children it promotes.
+The potential ingredients (the status tally, the rank sum, and the
+dangerous-vertex count) exist only for the analysis, so a heap keeps them
+only from its first potentials() read on. Until then they are None, and
+every operation skips their bookkeeping and _cut's danger probes. The
+first read seeds them from one walk of the forest, O(n); from then on
+every operation keeps them exact as it goes, and each read costs O(1). In
+a read heap every root holds status ROOT, so the status tally counts every
+vertex, its ROOT slot is the tree count, and a vertex's status tells
+whether it is a root. A root removal walks the children it promotes, to
+mark them. A lean heap leaves root statuses as they fall, meaningless,
+and the first read overwrites them.
 
 The dangerous-vertex count, once kept, takes one probe of a vertex before
 and one verdict after each compound change to it: a cut with the cascade
@@ -97,6 +94,7 @@ from .node_store import (
     Node,
     OUTER_MISPLACED,
     OUTER_PLACED,
+    ROOT,
 )
 
 PLASTIC = 1.324717957244746
@@ -121,10 +119,9 @@ class PadovanHeap:
         self._live = set()  # the live vertices themselves, dummy excluded
         self._size = 0
         # The potential tallies, None until the first potentials() read
-        # seeds them: nonroot vertices bucketed by raw status field, the
-        # tree count, the rank sum and the dangerous-vertex count
+        # seeds them: every vertex bucketed by status, the roots as ROOT,
+        # the rank sum and the dangerous-vertex count
         self._stat_tally = None
-        self._trees = None
         self._rank_sum = None
         self._dangerous = None
         self.max_rank_seen = 0
@@ -193,18 +190,6 @@ class PadovanHeap:
             return False
         rho = w0.rank + 1 if st == CRITICAL_INNER else w0.rank
         return r <= rho
-
-    def _on_root_list(self, v):
-        """Whether v's list is the root list: a walk right to the end of the
-        list, of at most size members. A walk the cap or a None link stops
-        reads as a child list."""
-        d = self._dummy
-        for _ in range(self._size):
-            nxt = v.right
-            if nxt is None or nxt.left is not v:
-                return nxt is d
-            v = nxt
-        return False
 
     def _place(self, owner, w):
         """Move child w of owner to the front as an outer placed child.
@@ -310,8 +295,8 @@ class PadovanHeap:
         that child's rho, so the tally of each vertex the cascade changes is
         settled by one probe before its first change and, after its last,
         by the verdict _recompute_rank returns; the deltas of any probes in
-        between would telescope. When v leaves a child list, its status
-        leaves the status tally and v joins the tree count.
+        between would telescope. In a read heap v then takes status ROOT,
+        its old status leaving the tally, which changes nothing for a root.
         """
         d = self._dummy
         t = self._stat_tally
@@ -325,20 +310,18 @@ class PadovanHeap:
             # owner stays unknown and its rank update is deferred (covered
             # by the rank-surplus potential). v cannot be a rightmost child
             # here, so no parent's danger status changes either. v may be a
-            # root already: a read heap walks to the end of v's list to
-            # tell.
+            # root already, which the booking below leaves as it was.
             p = None
-            if t is not None and not self._on_root_list(nxt.right):
-                t[v.status] -= 1
-                self._trees += 1
         else:
             p = nxt if nxt.left is not v else nxt.right  # last : second last
             if p.right is p:
                 return  # v is a root already
             if t is not None:
                 p_pre = dangerous(p)  # before the move: p loses a child
-                t[v.status] -= 1
-                self._trees += 1
+        if t is not None:
+            t[v.status] -= 1
+            t[ROOT] += 1
+            v.status = ROOT
         # the join_back row of Arena's table: 3 writes to unlink a sole
         # member, else 4, and 4 to append. The root list keeps v's tree
         # root, or other roots besides v, so it is never empty.
@@ -395,18 +378,14 @@ class PadovanHeap:
                 pass
             elif g is None:
                 # the parent is unreachable in O(1): adjust p's status in
-                # place and stop. If p happens to be a root this scribbles a
-                # meaningless status byte, which every consumer ignores and
-                # a read heap does not book.
+                # place and stop. A root p of a read heap holds ROOT, which
+                # this skips; in a lean heap the write may land on a root's
+                # meaningless status.
                 st = p.status
                 if st == NONCRITICAL_INNER or st == CRITICAL_INNER:
-                    st = (CRITICAL_INNER
-                          if st == NONCRITICAL_INNER and delta == 1
-                          else OUTER_MISPLACED)
-                    if t is None or self._on_root_list(p):
-                        p.status = st
-                    else:
-                        self._set_status(p, st)
+                    self._set_status(p, CRITICAL_INNER
+                                     if st == NONCRITICAL_INNER and delta == 1
+                                     else OUTER_MISPLACED)
             elif g.right is g:
                 pass  # p is a root: rank updated, status meaningless
             else:
@@ -452,8 +431,10 @@ class PadovanHeap:
             v.right = d
             first.left = v
             a.counters.link_writes += 6
-        if self._stat_tally is not None:
-            self._trees += 1
+        t = self._stat_tally
+        if t is not None:
+            t[ROOT] += 1
+            v.status = ROOT
         self._size += 1
         return v
 
@@ -479,10 +460,8 @@ class PadovanHeap:
             self._live = live
         live |= olive
         if t is not None:
-            ot = other._stat_tally
-            for i in range(4):
-                t[i] += ot[i]
-            self._trees += other._trees
+            for i, c in enumerate(other._stat_tally):
+                t[i] += c
             self._rank_sum += other._rank_sum
             self._dangerous += other._dangerous
         if other.max_rank_seen > self.max_rank_seen:
@@ -496,12 +475,8 @@ class PadovanHeap:
     def find_min(self):
         # The danger test is written out here, twice, rather than called as
         # _is_dangerous: phase 1 runs it on every root, and the lone-root
-        # test on almost every call, delete_min's included. Calling it at
-        # seven sites (these two, a third copy that delete_min then kept,
-        # and four probes in _cut, of which the before-probes remain) made
-        # padovan replay 9% slower by median on perfbench's competition
-        # workload, winning 1 of 6 interleaved pairs, and 2% slower on
-        # random, winning 2 of 6 (shared 2-vCPU host, CPython 3.11).
+        # test on almost every call, delete_min's included, so the call
+        # measured slower.
         d = self._dummy
         if d is None:
             raise StaleHandleError(CONSUMED)
@@ -644,7 +619,7 @@ class PadovanHeap:
             if t is not None:
                 t[NONCRITICAL_INNER] += joins
                 t[OUTER_PLACED] += links
-                self._trees -= joins + links
+                t[ROOT] -= joins + links
                 self._rank_sum += joins
             if top > self.max_rank_seen:  # _make_safe may have raised it
                 self.max_rank_seen = top
@@ -666,9 +641,14 @@ class PadovanHeap:
         # a live vertex of this heap; a non-Node handle may not even hash
         if not isinstance(v, Node) or v not in self._live:
             raise StaleHandleError(STALE % (v,))
-        if new_key > v.key:
-            raise KeyIncreaseError(
-                "decrease_key %r -> %r is an increase" % (v.key, new_key))
+        # `>` comparisons only, and one on the common path
+        if not v.key > new_key:
+            if new_key > v.key:
+                raise KeyIncreaseError(
+                    "decrease_key %r -> %r is an increase" % (v.key, new_key))
+            # an equal key: v keeps its place, and with it every comparison
+            # it has lost, which a cut would make find_min repeat
+            return
         self._cut(v)
         v.key = new_key
 
@@ -690,8 +670,8 @@ class PadovanHeap:
 
         The detach_promote row of Arena's table, then Arena.free, written
         out: m's children become roots at the right end, in order, in O(1).
-        A read heap then walks them, at most size members, to take their
-        statuses off the status tally and add them to the tree count.
+        A read heap then walks them, at most size members, to mark them
+        ROOT.
         """
         d = self._dummy
         kid = m.child
@@ -735,16 +715,17 @@ class PadovanHeap:
         if t is not None:
             self._rank_sum -= m.rank
             if kid is None:
-                self._trees -= 1
+                t[ROOT] -= 1
             else:
                 # the promoted children end the root list: m leaves the
                 # tree count, and hops + 1 children join it
                 for hops in range(self._size):
                     t[kid.status] -= 1
+                    kid.status = ROOT
                     kid = kid.right
                     if kid is d:
                         break
-                self._trees += hops
+                t[ROOT] += hops
         self._size -= 1
 
     # -- potentials -------------------------------------------------------
@@ -753,18 +734,18 @@ class PadovanHeap:
         """Count the tallies from the forest, start keeping them, and return
         the status tally.
 
-        The root list is walked first: its members are counted as trees,
-        and every later member by status. As the auditor's walk does, a
-        status outside 0..3 is counted as noncritical inner, and a child
-        list is left where a member's right link is None (a freed vertex's)
-        or its right neighbor does not link back to it. The walk reaches at
-        most size + 1 members in all, so broken links cannot make it loop,
-        and a link into a freed vertex does not make it raise; on such a
-        forest the tallies are whatever it counted, and the audit reports
-        the links.
+        The root list is walked first: its members are marked ROOT, and
+        every later member is counted by status. As the auditor's walk
+        does, a nonroot status outside 0..3 is counted as noncritical
+        inner, and a child list is left where a member's right link is None
+        (a freed vertex's) or its right neighbor does not link back to it.
+        The walk reaches at most size + 1 members in all, so broken links
+        cannot make it loop, and a link into a freed vertex does not make
+        it raise; on such a forest the tallies are whatever it counted, and
+        the audit reports the links.
         """
-        t = [0, 0, 0, 0]
-        trees = rank_sum = dangerous = 0
+        t = [0, 0, 0, 0, 0]
+        rank_sum = dangerous = 0
         is_dangerous = self._is_dangerous
         d = self._dummy
         left = self._size + 1
@@ -775,7 +756,8 @@ class PadovanHeap:
             while left:
                 left -= 1
                 if owner is d:
-                    trees += 1
+                    v.status = ROOT
+                    t[ROOT] += 1
                 else:
                     st = v.status
                     t[st if NONCRITICAL_INNER <= st <= OUTER_MISPLACED
@@ -791,7 +773,6 @@ class PadovanHeap:
                     break
                 v = nxt
         self._stat_tally = t
-        self._trees = trees
         self._rank_sum = rank_sum
         self._dangerous = dangerous
         return t
@@ -799,20 +780,19 @@ class PadovanHeap:
     def potentials(self):
         """(phi0..phi6) from the tallies, in O(1).
 
-        phi0 trees; phi1 placed outer children; phi2 capped tree count;
-        phi3 critical nonroots; phi4 rank surplus sum(r - c - n) over all
-        vertices, c and n counting nonroots; phi5 misplaced outer children;
-        phi6 dangerous vertices. The first read seeds the tallies from one
-        walk of the forest, O(n), which broken links cannot make loop; later
-        reads follow no link.
+        phi0 trees, the ROOT tally; phi1 placed outer children; phi2 capped
+        tree count; phi3 critical nonroots; phi4 rank surplus sum(r - c - n)
+        over all vertices, c and n counting nonroots; phi5 misplaced outer
+        children; phi6 dangerous vertices. The first read seeds the tallies
+        from one walk of the forest, O(n), which broken links cannot make
+        loop, and marks the roots ROOT; later reads follow no link.
         """
         if self._dummy is None:
             raise StaleHandleError(CONSUMED)
         t = self._stat_tally
         if t is None:
             t = self._seed_tallies()
-        tau = self._trees
-        noncritical, critical, placed, misplaced = t  # by status, 0..3
+        noncritical, critical, placed, misplaced, tau = t  # by status
         # plastic_cap(n) >= 3 for n >= 2, and one vertex makes one tree, so
         # up to three trees are never capped
         return (tau, placed,

@@ -1,8 +1,9 @@
 """A Hypothesis strategy for valid traces whose op order the fuzzer picks.
 
-Keys are pairwise distinct over the whole trace and every `k` strictly
-lowers a live key, so the element a `d` removes is known without replaying
-the trace, and later `k` and `x` events can name only live ids.
+Keys are pairwise distinct over the whole trace. A `k` strictly lowers a
+live key, or now and then sets it to its own value, which is no change. So
+the element a `d` removes is known without replaying the trace, and later
+`k` and `x` events can name only live ids.
 """
 
 from hypothesis import strategies as st
@@ -32,7 +33,9 @@ def traces(draw, max_size=80):
                 del live[min(live, key=live.get)]
         else:
             vid = sorted(live)[x % len(live)]
-            if op == "k":
+            if op == "k" and x % 8 == 0:
+                events.append(("k", vid, live[vid]))  # an equal key
+            elif op == "k":
                 key = live[vid] - 1 - x % 1000
                 while key in used:
                     key -= 1

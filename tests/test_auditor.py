@@ -13,7 +13,7 @@ import pytest
 from padovanheap import FibonacciHeap, PadovanHeap, plastic_cap
 from padovanheap.errors import StaleHandleError
 from padovanheap.node_store import (
-    NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
+    NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED, ROOT)
 from padovanheap import auditor
 from padovanheap.auditor import (
     BudgetAudit, CostModel, Violation, audit_amortized, audit_state,
@@ -194,16 +194,24 @@ def scan_potentials(h):
             raw[OUTER_MISPLACED] - root[OUTER_MISPLACED], h._dangerous)
 
 
+def assert_roots_marked(h, at=None):
+    """In a read heap the roots, and only they, hold status ROOT, and the
+    ROOT tally counts them."""
+    roots = h.roots()
+    assert h._stat_tally[ROOT] == len(roots), at
+    assert all(v.status == ROOT for v in roots), at
+    assert sum(v.status == ROOT for v in h._live) == len(roots), at
+
+
 def assert_matches_scan(events, k):
     """A heap first read after event k reports, after that event and every
-    later one, the scan formula's potentials and a tree count equal to its
-    root count."""
+    later one, the scan formula's potentials, and its roots are marked."""
     h = PadovanHeap()
 
     def after(idx, ev):
         if idx >= k:
             assert h.potentials() == scan_potentials(h), idx
-            assert h._trees == len(h.roots()), idx
+            assert_roots_marked(h, idx)
 
     replay(events, h, after=after)
 
@@ -239,7 +247,8 @@ def assert_tallies_exact(h):
 
 def test_a_cut_of_a_root_not_among_the_last_two_books_nothing():
     # root 1 with its tree, then 20, 21 and 22: 1 and 20 are not among the
-    # last two roots, so their cuts walk the root list to its end
+    # last two roots, so their cuts find no parent, and their status ROOT
+    # tells that they are roots
     h, hs = build8_read_with_roots(20, 21, 22)
     before = h.potentials()
     h.decrease_key(hs[1], 0)
@@ -252,8 +261,8 @@ def test_a_cut_of_a_root_not_among_the_last_two_books_nothing():
 
 
 def test_a_cut_of_a_child_not_among_the_last_two_is_booked():
-    # 2 is the first of root 1's children 2, 3 and 5: its cut walks its
-    # list to root 1, takes its status off the tally and adds a tree
+    # 2 is the first of root 1's children 2, 3 and 5: its cut finds no
+    # parent, takes its status off the tally and adds a tree
     h, hs = build8_read_with_roots(20, 21)
     phis = h.potentials()
     h.decrease_key(hs[2], 0)
@@ -264,12 +273,12 @@ def test_a_cut_of_a_child_not_among_the_last_two_is_booked():
 
 def test_a_cascade_status_write_on_a_root_is_not_booked():
     # cutting 5, root 1's last child, drops 1's rank from 3 to 2; 1 is not
-    # among the last two roots, so its parent is out of reach and the
-    # cascade writes 1's status in place: critical, on a root
+    # among the last two roots, so its parent is out of reach; the
+    # cascade's in-place status write passes over 1's status ROOT
     h, hs = build8_read_with_roots(20, 21)
-    assert hs[1].status == NONCRITICAL_INNER
+    assert hs[1].status == ROOT
     h.decrease_key(hs[5], 0)
-    assert (hs[1].rank, hs[1].status) == (2, CRITICAL_INNER)
+    assert (hs[1].rank, hs[1].status) == (2, ROOT)
     assert [v.key for v in h.roots()] == [1, 20, 21, 0]
     assert_tallies_exact(h)
 
@@ -341,6 +350,7 @@ def test_meld_of_a_read_and_an_unread_heap(read, shared):
     a.meld(b)
     assert (a._stat_tally is None) == (read == "donor")
     assert tuple(compute_potentials(a)) == a.potentials()
+    assert_roots_marked(a)
     assert audit_state(a) == []
     for _ in range(a.size // 2):
         a.delete_min()
@@ -358,9 +368,10 @@ def test_a_first_read_on_a_corrupted_forest_returns_the_audit(status,
     assert h._stat_tally is None
     vs = audit_state(h)
     # one tree, and seven nonroots, an unknown status counted as N
-    assert (h._trees, sum(h._stat_tally)) == (1, 7)
+    assert (h._stat_tally[ROOT], sum(h._stat_tally)) == (1, 8)
     if target == 1:
-        # nothing reads a root's status, so an unknown one goes unreported
+        # the first read marks the root ROOT over its unknown status, so
+        # the audit has nothing to report
         assert vs == []
     else:
         assert [v.kind for v in vs] == ["bad_status"]
@@ -388,7 +399,7 @@ def test_a_first_read_on_broken_links_returns():
                 if read is audit_state:
                     assert {v.kind for v in got} == {"broken_owner_link"}
                 else:  # the seeding walk stopped after size + 1 members
-                    assert h._trees + sum(h._stat_tally) == 9
+                    assert sum(h._stat_tally) == 9
     finally:
         signal.signal(signal.SIGALRM, old)
 
@@ -640,7 +651,7 @@ def test_a_first_read_on_a_link_into_a_freed_vertex_returns(owner, walked):
     assert h._stat_tally is None
     h.potentials()
     # one tree, and the nonroots, the freed vertex among them
-    assert h._trees + sum(h._stat_tally) == walked
+    assert sum(h._stat_tally) == walked
     assert [v.render() for v in audit_state(h)] == [
         Violation("broken_owner_link", owner_key=owner,
                   child_key=20).render()]

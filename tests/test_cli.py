@@ -292,7 +292,7 @@ def test_dot_output(tmp_path, capsys):
     assert text.count("dashed") == 1            # only the placed child
 
 
-@pytest.mark.parametrize("status", [-1, 4])
+@pytest.mark.parametrize("status", [-1, 5])
 def test_dot_labels_an_out_of_range_status_visibly(status):
     # find_min over 1..8 leaves 2 a rank-0 child of root 1
     h = PadovanHeap()

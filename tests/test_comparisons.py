@@ -163,6 +163,18 @@ def test_fibonacci_compares_elements_that_cannot_be_minimal(mode, n, seed):
     assert record.repeats > record.comparisons // 2
 
 
+def test_decrease_key_to_an_equal_key_is_a_no_op():
+    # 2 lost its join to 1; a cut would make the second f compare them again
+    with_k = [("i", 1), ("i", 2), ("f",), ("k", 2, 2), ("f",)]
+    without = with_k[:3] + with_k[4:]
+    h, g = PadovanHeap(), PadovanHeap()
+    record, out = recorded_replay(with_k, h)
+    assert out == replay(without, g) == [1, 1]
+    assert h.arena.counters.snapshot() == g.arena.counters.snapshot() == (
+        18, 1, 0, 0)
+    assert (record.comparisons, record.repeats) == (1, 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(traces())
 def test_padovan_comparison_principle_on_fuzzed_traces(events):

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from padovanheap.node_store import (
     Arena, Node, NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED,
-    OUTER_MISPLACED, STATUS_NAMES)
+    OUTER_MISPLACED, ROOT, STATUS_NAMES)
 from padovanheap.padovan import PadovanHeap
 
 from list_model import (
@@ -21,11 +21,12 @@ def test_node_layout_is_exactly_six_fields():
 
 
 def test_status_codes():
-    assert (NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED) == (0, 1, 2, 3)
-    assert STATUS_NAMES == ("N", "C", "P", "M")
+    assert (NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED,
+            ROOT) == (0, 1, 2, 3, 4)
+    assert STATUS_NAMES == ("N", "C", "P", "M", "R")
 
 
-@pytest.mark.parametrize("status, label", [(4, "?4"), (-1, "?-1")])
+@pytest.mark.parametrize("status, label", [(5, "?5"), (-1, "?-1")])
 def test_repr_shows_an_out_of_range_status_as_is(status, label):
     v = Node(5)
     assert repr(v) == "Node(key=5, rank=0, N)"

@@ -16,7 +16,7 @@ from padovanheap import (
     FibonacciHeap, PadovanHeap, Oracle, plastic_cap, STATUS_NAMES)
 import padovanheap
 from padovanheap.node_store import (
-    NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED)
+    NONCRITICAL_INNER, CRITICAL_INNER, OUTER_PLACED, OUTER_MISPLACED, ROOT)
 from padovanheap import oracle
 from padovanheap.errors import EmptyHeapError, KeyIncreaseError, StaleHandleError
 from padovanheap.auditor import audit_state, check_root_safety, children
@@ -422,7 +422,7 @@ def test_stale_handle_after_delete_min():
         h.delete(v)
 
 
-@pytest.mark.parametrize("status, label", [(4, "?4"), (-1, "?-1")])
+@pytest.mark.parametrize("status, label", [(5, "?5"), (-1, "?-1")])
 def test_stale_handle_message_shows_an_out_of_range_status(status, label):
     h = PadovanHeap()
     v = h.insert(1)
@@ -619,7 +619,7 @@ class TwoStepHeap(PadovanHeap):
     reference that the heap's inline surgery is checked against. Its
     tallies are read at construction, so it keeps them from the start and
     its bookings below need no test. It tells a root by a scan of roots(),
-    not by the heap's walk to the end of the vertex's list."""
+    and asserts that the scan agrees with the vertex's status ROOT."""
 
     def __init__(self):
         super().__init__()
@@ -642,7 +642,8 @@ class TwoStepHeap(PadovanHeap):
         v = self.arena.alloc(key)
         self._live.add(v)
         push_back(self.arena, d, v)
-        self._trees += 1
+        self._stat_tally[ROOT] += 1
+        v.status = ROOT
         self._size += 1
         return v
 
@@ -674,13 +675,21 @@ class TwoStepHeap(PadovanHeap):
         detach(a, m, d)
         kids = members(m, bound=self._size)
         a.concat(d, m)
+        t = self._stat_tally
         for w in kids:
-            self._stat_tally[w.status] -= 1
-        self._trees += len(kids) - 1
+            t[w.status] -= 1
+            w.status = ROOT
+        t[ROOT] += len(kids) - 1
         self._rank_sum -= m.rank
         self._size -= 1
         self._live.remove(m)
         a.free(m)
+
+    def _to_root(self, v):
+        t = self._stat_tally
+        t[v.status] -= 1
+        t[ROOT] += 1
+        v.status = ROOT
 
     def _cut(self, v):
         a = self.arena
@@ -688,17 +697,17 @@ class TwoStepHeap(PadovanHeap):
         dang = self._is_dangerous
         code, p = probe(v)
         if code is None:
-            if not self._is_root(v):
-                self._stat_tally[v.status] -= 1
-                self._trees += 1
+            root = self._is_root(v)
+            assert root == (v.status == ROOT)
+            if not root:
+                self._to_root(v)
             detach(a, v)
             push_back(a, d, v)
             return
         if p.right is p:
             return
         p_pre = dang(p)
-        self._stat_tally[v.status] -= 1
-        self._trees += 1
+        self._to_root(v)
         detach(a, v, p)
         push_back(a, d, v)
         while True:
@@ -717,15 +726,14 @@ class TwoStepHeap(PadovanHeap):
             if delta == 0:
                 pass
             elif code is None:
+                root = self._is_root(p)
+                assert root == (p.status == ROOT)
                 st = p.status
-                if st == NONCRITICAL_INNER or st == CRITICAL_INNER:
-                    st = (CRITICAL_INNER
-                          if st == NONCRITICAL_INNER and delta == 1
-                          else OUTER_MISPLACED)
-                    if self._is_root(p):
-                        p.status = st
-                    else:
-                        self._set_status(p, st)
+                if not root and (st == NONCRITICAL_INNER
+                                 or st == CRITICAL_INNER):
+                    self._set_status(p, CRITICAL_INNER
+                                     if st == NONCRITICAL_INNER and delta == 1
+                                     else OUTER_MISPLACED)
             elif g.right is g:
                 pass
             else:
@@ -802,7 +810,7 @@ class TwoStepHeap(PadovanHeap):
             a.counters.comparisons += joins + links
             t[NONCRITICAL_INNER] += joins
             t[OUTER_PLACED] += links
-            self._trees -= joins + links
+            t[ROOT] -= joins + links
             self._rank_sum += joins
             if top > self.max_rank_seen:
                 self.max_rank_seen = top
@@ -813,7 +821,8 @@ def state_digest(h):
     """Hash of the step counters, potentials, peak rank, live-node count and
     every child list (the root list as the dummy's), with its members' keys,
     ranks and statuses. The lists are walked as auditor.children walks
-    them."""
+    them, after the potentials, since a first read marks the roots ROOT."""
+    phis = h.potentials()
     flat = []
     stack = [h.dummy]
     while stack:
@@ -826,7 +835,7 @@ def state_digest(h):
             if w.right.left is not w:  # rightmost
                 break
             w = w.right
-    return hash((h.arena.counters.snapshot(), h.potentials(),
+    return hash((h.arena.counters.snapshot(), phis,
                  h.max_rank_seen, len(h._live), tuple(flat)))
 
 
